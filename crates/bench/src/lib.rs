@@ -20,3 +20,24 @@ pub fn banner(title: &str) {
     println!("{title}");
     println!("{}", "=".repeat(72));
 }
+
+/// Hardware threads on this machine (`available_parallelism`), stamped
+/// into BENCH files so numbers recorded on different hosts compare.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// The checked-out commit as `git describe --always --dirty` names it
+/// (short hash, `-dirty` if the tree has uncommitted changes), or
+/// `"unknown"` outside a git checkout.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}

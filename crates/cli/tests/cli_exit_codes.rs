@@ -44,6 +44,9 @@ fn usage_errors_exit_two() {
         // --summary-json and --plan are chaos-only; arena must reject them.
         &["arena", "--summary-json"],
         &["arena", "--plan", "mayhem"],
+        // The explorer is single-threaded: no worker-count flags.
+        &["explore", "loopy", "--jobs", "4"],
+        &["campaign", "--symex-jobs", "2"],
     ];
     for args in cases {
         let (code, _, stderr) = run(args);

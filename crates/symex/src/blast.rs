@@ -60,6 +60,48 @@ pub fn memo_hits() -> u64 {
     MEMO_HITS.load(Ordering::Relaxed)
 }
 
+/// One thread's share of the three process-wide counters above.
+///
+/// The process-wide counters bleed across threads (campaign workers,
+/// concurrently running tests); these count only the calling thread's
+/// own queries, so a delta over a single-threaded section — one
+/// exploration, one unit test — is exactly that section's work.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryCounts {
+    pub(crate) calls: u64,
+    pub(crate) lookups: u64,
+    pub(crate) hits: u64,
+}
+
+impl QueryCounts {
+    /// This thread's counts so far.
+    pub(crate) fn now() -> QueryCounts {
+        THREAD_COUNTS.with(Cell::get)
+    }
+
+    /// This thread's work since `self` was taken.
+    pub(crate) fn delta(&self) -> QueryCounts {
+        let now = QueryCounts::now();
+        QueryCounts {
+            calls: now.calls - self.calls,
+            lookups: now.lookups - self.lookups,
+            hits: now.hits - self.hits,
+        }
+    }
+}
+
+/// Count one satisfiability check, process-wide and on this thread.
+fn count_call() {
+    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
+    THREAD_COUNTS.with(|c| {
+        let n = c.get();
+        c.set(QueryCounts {
+            calls: n.calls + 1,
+            ..n
+        });
+    });
+}
+
 /// Memoized outcome of one normalized query. Sat models are stored by
 /// normalized variable index and renamed back on a hit.
 #[derive(Debug, Clone)]
@@ -69,30 +111,17 @@ enum MemoEntry {
     Unknown(&'static str),
 }
 
-/// One memo slot: the cached outcome plus the global insertion
-/// generation, so batch-scoped readers (the parallel explorer's
-/// canonical counter replay) can tell entries that predate their batch
-/// from entries raced in by a sibling worker mid-batch.
-#[derive(Debug, Clone)]
-struct MemoSlot {
-    gen: u64,
-    entry: MemoEntry,
-}
-
 /// Shard fanout of the normalized-query memo. Fixed power of two so the
 /// shard of a key is a mask, not a modulo.
 const MEMO_SHARDS: usize = 16;
 
 /// The process-wide normalized-query memo, sharded by key hash so
-/// concurrent exploration workers contend on 1/16th of a lock instead
-/// of one global one. `BTreeMap` because its empty constructor is
+/// concurrent campaign workers contend on 1/16th of a lock instead of
+/// one global one. `BTreeMap` because its empty constructor is
 /// `const`; keys are full canonical serializations (not hashes), so a
 /// hit is a structural identity, not a probabilistic one.
-static QUERY_MEMO: [Mutex<BTreeMap<Vec<u8>, MemoSlot>>; MEMO_SHARDS] =
+static QUERY_MEMO: [Mutex<BTreeMap<Vec<u8>, MemoEntry>>; MEMO_SHARDS] =
     [const { Mutex::new(BTreeMap::new()) }; MEMO_SHARDS];
-
-/// Monotone insertion clock for [`MemoSlot::gen`].
-static MEMO_GEN: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a over the canonical key — stable, dependency-free, and good
 /// enough to spread structurally distinct queries across shards.
@@ -105,32 +134,38 @@ fn memo_shard(key: &[u8]) -> usize {
     (h as usize) & (MEMO_SHARDS - 1)
 }
 
-/// Probe the memo for `key`, returning the cached outcome and its
-/// insertion generation.
-fn memo_probe(key: &[u8]) -> Option<MemoSlot> {
-    QUERY_MEMO[memo_shard(key)]
+/// Probe the memo for `key`, counting the lookup (and the hit, if
+/// any) process-wide and on this thread.
+fn memo_probe(key: &[u8]) -> Option<MemoEntry> {
+    let hit = QUERY_MEMO[memo_shard(key)]
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .get(key)
-        .cloned()
+        .cloned();
+    MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
+    if hit.is_some() {
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+    }
+    THREAD_COUNTS.with(|c| {
+        let n = c.get();
+        c.set(QueryCounts {
+            lookups: n.lookups + 1,
+            hits: n.hits + u64::from(hit.is_some()),
+            ..n
+        });
+    });
+    hit
 }
 
-/// Insert an outcome for `key`, first-wins: if a sibling worker raced
-/// the same normalized query in, its entry (an identical verdict — the
-/// memo is a pure function of the key) is kept.
+/// Insert an outcome for `key`, first-wins: if another campaign worker
+/// raced the same normalized query in, its entry (an identical verdict
+/// — the memo is a pure function of the key) is kept.
 fn memo_insert(key: Vec<u8>, entry: MemoEntry) {
-    let gen = MEMO_GEN.fetch_add(1, Ordering::Relaxed) + 1;
     QUERY_MEMO[memo_shard(&key)]
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .entry(key)
-        .or_insert(MemoSlot { gen, entry });
-}
-
-/// Current memo insertion generation — the epoch a logged batch opens
-/// with (see [`query_log_begin`]).
-pub(crate) fn memo_generation() -> u64 {
-    MEMO_GEN.load(Ordering::Relaxed)
+        .or_insert(entry);
 }
 
 /// Drop every entry in the normalized-query memo. Benchmarks use this
@@ -141,88 +176,12 @@ pub fn reset_query_memo() {
     }
 }
 
-/// One solver invocation, as seen by the per-thread query log.
-///
-/// `Short` is a call that never reached the memo (a constraint interned
-/// to constant false, or the reference pipeline); `Probed` carries the
-/// canonical key and whether the entry it found predates the logging
-/// batch. The parallel explorer replays these in canonical path order
-/// to reconstruct the solver/lookup/hit counters a sequential quiet
-/// process would have reported — the process-global counters above keep
-/// counting *actual* work, which under speculation is more.
-#[derive(Debug, Clone)]
-pub(crate) enum QueryEvent {
-    Short,
-    Probed { key: Vec<u8>, pre_existing: bool },
-}
-
-struct QueryLog {
-    enabled: bool,
-    /// Memo generation at batch start: entries at or below it were
-    /// inserted before the batch began.
-    epoch: u64,
-    events: Vec<QueryEvent>,
-}
-
 thread_local! {
     static REFERENCE: Cell<bool> = const { Cell::new(false) };
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-    static QUERY_LOG: RefCell<QueryLog> = const {
-        RefCell::new(QueryLog { enabled: false, epoch: 0, events: Vec::new() })
+    static THREAD_COUNTS: Cell<QueryCounts> = const {
+        Cell::new(QueryCounts { calls: 0, lookups: 0, hits: 0 })
     };
-}
-
-/// Start logging this thread's solver invocations against memo `epoch`
-/// (from [`memo_generation`] at batch start).
-pub(crate) fn query_log_begin(epoch: u64) {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        l.enabled = true;
-        l.epoch = epoch;
-        l.events.clear();
-    });
-}
-
-/// Drain the events logged since the last drain (or [`query_log_begin`]).
-pub(crate) fn query_log_drain() -> Vec<QueryEvent> {
-    QUERY_LOG.with(|l| std::mem::take(&mut l.borrow_mut().events))
-}
-
-/// Stop logging on this thread and discard any undrained events.
-pub(crate) fn query_log_end() {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        l.enabled = false;
-        l.events.clear();
-    });
-}
-
-fn log_short() {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.enabled {
-            l.events.push(QueryEvent::Short);
-        }
-    });
-}
-
-fn log_probe(key: &[u8], gen: Option<u64>) {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.enabled {
-            let pre_existing = gen.is_some_and(|g| g <= l.epoch);
-            l.events.push(QueryEvent::Probed {
-                key: key.to_vec(),
-                pre_existing,
-            });
-        }
-    });
-}
-
-/// Whether [`with_reference_pipeline`] is active on this thread — the
-/// parallel explorer propagates the flag into its workers.
-pub(crate) fn reference_pipeline_active() -> bool {
-    REFERENCE.with(Cell::get)
 }
 
 /// Run `f` with [`check`] routed through the pre-interning pipeline
@@ -294,9 +253,8 @@ impl SatResult {
 
 /// Check satisfiability of the conjunction of `constraints`.
 pub fn check(constraints: &[BoolExpr]) -> SatResult {
-    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
+    count_call();
     if REFERENCE.with(Cell::get) {
-        log_short();
         return reference::check_reference_inner(constraints);
     }
     SCRATCH.with(|s| check_interned(&mut s.borrow_mut(), constraints))
@@ -311,8 +269,7 @@ pub fn check(constraints: &[BoolExpr]) -> SatResult {
 /// *identical* interner state instead of leaving the production arena
 /// cold while the reference runs in its own private world.
 pub fn check_reference(constraints: &[BoolExpr]) -> SatResult {
-    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
-    log_short();
+    count_call();
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         // Per-call pointer memo, same contract as `begin_query`: `Rc`
@@ -344,7 +301,6 @@ fn check_interned(s: &mut Scratch, constraints: &[BoolExpr]) -> SatResult {
         let id = s.intern_bool(c);
         if id == TermArena::FALSE {
             span.set_detail(|| "memo=short verdict=unsat".into());
-            log_short();
             return SatResult::Unsat;
         }
         if id == TermArena::TRUE {
@@ -353,13 +309,9 @@ fn check_interned(s: &mut Scratch, constraints: &[BoolExpr]) -> SatResult {
         s.roots.push(id);
     }
     let shape = s.arena.normalize(&s.roots);
-    MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    let hit = memo_probe(&shape.key);
-    log_probe(&shape.key, hit.as_ref().map(|slot| slot.gen));
-    if let Some(slot) = hit {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+    if let Some(entry) = memo_probe(&shape.key) {
         span.set_detail(|| format!("memo=hit vars={}", shape.vars.len()));
-        return match slot.entry {
+        return match entry {
             MemoEntry::Unsat => SatResult::Unsat,
             MemoEntry::Unknown(e) => SatResult::Unknown(e),
             MemoEntry::Sat(vals) => SatResult::Sat(Model::from_pairs(
@@ -508,11 +460,10 @@ impl Session {
     /// probe (`path ∧ branch-cond`) and verdict query
     /// (`path ∧ code = AV ∧ ret ≠ 0`).
     pub fn check_assuming(&mut self, extras: &[BoolExpr]) -> SatResult {
-        SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "solver.check");
         if self.false_count > 0 {
             span.set_detail(|| "memo=short verdict=unsat".into());
-            log_short();
             return SatResult::Unsat;
         }
         self.s.ptr_memo.clear();
@@ -529,7 +480,6 @@ impl Session {
             let id = self.s.intern_bool(c);
             if id == TermArena::FALSE {
                 span.set_detail(|| "memo=short verdict=unsat".into());
-                log_short();
                 return SatResult::Unsat;
             }
             if id != TermArena::TRUE {
@@ -537,13 +487,9 @@ impl Session {
             }
         }
         let shape = self.s.arena.normalize(&roots);
-        MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
-        let hit = memo_probe(&shape.key);
-        log_probe(&shape.key, hit.as_ref().map(|slot| slot.gen));
-        if let Some(slot) = hit {
-            MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = memo_probe(&shape.key) {
             span.set_detail(|| format!("memo=hit vars={}", shape.vars.len()));
-            return match slot.entry {
+            return match entry {
                 MemoEntry::Unsat => SatResult::Unsat,
                 MemoEntry::Unknown(e) => SatResult::Unknown(e),
                 MemoEntry::Sat(vals) => SatResult::Sat(Model::from_pairs(
@@ -1461,20 +1407,21 @@ mod tests {
         }
     }
 
+    // The memo tests read this thread's own counters and never clear
+    // the shared memo (sibling tests run concurrently). A test that
+    // asserts a cold miss pins a constant no other test uses.
+
     #[test]
     fn memo_hits_on_alpha_equivalent_queries() {
-        reset_query_memo();
-        // Fresh names so no earlier test primed these structures.
         let p = Expr::var("memo_test_p", 32);
         let q = Expr::var("memo_test_q", 32);
-        let lookups0 = memo_lookups();
-        let hits0 = memo_hits();
+        let before = QueryCounts::now();
         let r1 = check(&[eq64(p, Expr::c(0x1234_5678))]);
-        assert_eq!(memo_hits() - hits0, 0, "first query is a miss");
+        assert_eq!(before.delta().hits, 0, "first query is a miss");
         let r2 = check(&[eq64(q, Expr::c(0x1234_5678))]);
-        assert!(memo_lookups() - lookups0 >= 2);
+        assert_eq!(before.delta().lookups, 2);
         assert_eq!(
-            memo_hits() - hits0,
+            before.delta().hits,
             1,
             "alpha-equivalent query must hit the memo"
         );
@@ -1489,16 +1436,19 @@ mod tests {
 
     #[test]
     fn memo_replays_all_outcome_kinds() {
-        reset_query_memo();
         let x = Expr::var("memo_kinds_x", 8);
         let unsat = [eq64(x.clone(), Expr::c(0x100))];
         assert_eq!(check(&unsat), SatResult::Unsat);
+        let before = QueryCounts::now();
         assert_eq!(check(&unsat), SatResult::Unsat, "unsat replays");
+        assert_eq!(before.delta().hits, 1, "unsat replays from the memo");
         let n = Expr::var("memo_kinds_n", 8);
         let sh = Rc::new(Expr::Bin(BinOp::Shl, x, n));
         let unknown = [eq64(sh, Expr::c(4))];
         let first = check(&unknown);
+        let before = QueryCounts::now();
         assert_eq!(check(&unknown), first, "unknown replays");
+        assert_eq!(before.delta().hits, 1, "unknown replays from the memo");
     }
 
     #[test]
@@ -1590,19 +1540,17 @@ mod tests {
 
     #[test]
     fn session_queries_flow_through_the_memo() {
-        reset_query_memo();
         let p = Expr::var("sess_memo_p", 32);
         let q = Expr::var("sess_memo_q", 32);
-        let hits0 = memo_hits();
-        let calls0 = solver_calls();
+        let before = QueryCounts::now();
         let mut sess = Session::new();
         sess.push(&eq64(p, Expr::c(0xDEAD_0001))).unwrap();
         let r1 = sess.check();
-        assert_eq!(memo_hits() - hits0, 0, "cold query misses");
+        assert_eq!(before.delta().hits, 0, "cold query misses");
         // Alpha-equivalent single-shot query hits the session's entry.
         let r2 = check(&[eq64(q, Expr::c(0xDEAD_0001))]);
-        assert_eq!(memo_hits() - hits0, 1, "shape is shared across doors");
-        assert_eq!(solver_calls() - calls0, 2, "both doors count as checks");
+        assert_eq!(before.delta().hits, 1, "shape is shared across doors");
+        assert_eq!(before.delta().calls, 2, "both doors count as checks");
         match (r1, r2) {
             (SatResult::Sat(m1), SatResult::Sat(m2)) => {
                 assert_eq!(m1.get("sess_memo_p"), 0xDEAD_0001);
