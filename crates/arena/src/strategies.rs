@@ -21,6 +21,7 @@
 //! syscalls — the serving-phase allowlist filter judges those.
 
 use cr_os::windows::FaultEvent;
+use cr_os::OsHook;
 use cr_targets::browsers::firefox::{self, FirefoxSim};
 use cr_vm::NullHook;
 use rand::rngs::StdRng;
@@ -119,6 +120,7 @@ struct Prober<'a> {
     probes: u64,
     dropped: u64,
     drop: DropFn<'a>,
+    hook: &'a mut dyn OsHook,
 }
 
 impl Prober<'_> {
@@ -131,11 +133,11 @@ impl Prober<'_> {
             self.dropped += 1;
             return None;
         }
-        firefox::probe(&mut self.sim, PROBE_BASE + page * 0x1000, &mut NullHook)
+        firefox::probe(&mut self.sim, PROBE_BASE + page * 0x1000, self.hook)
     }
 
     fn idle(&mut self, steps: u64) {
-        self.sim.proc.run(steps, &mut NullHook);
+        self.sim.proc.run(steps, self.hook);
     }
 }
 
@@ -143,6 +145,17 @@ impl Prober<'_> {
 /// region at a seeded slot, drive the strategy until it locates the
 /// region or exhausts the window.
 pub fn run_round(kind: StrategyKind, seed: u64, drop: DropFn<'_>) -> ProbeSession {
+    drive(kind, seed, drop, &mut NullHook).0
+}
+
+/// [`run_round`] with every emulated step observed by `hook`; also
+/// returns the sim the round ran on.
+fn drive(
+    kind: StrategyKind,
+    seed: u64,
+    drop: DropFn<'_>,
+    hook: &mut dyn OsHook,
+) -> (ProbeSession, FirefoxSim) {
     let mut rng = StdRng::seed_from_u64(seed);
     let slot_page = rng.gen_range(SECRET_SLOTS) * SECRET_PAGES;
     let secret = PROBE_BASE + slot_page * 0x1000;
@@ -159,6 +172,7 @@ pub fn run_round(kind: StrategyKind, seed: u64, drop: DropFn<'_>) -> ProbeSessio
         probes: 0,
         dropped: 0,
         drop,
+        hook,
     };
     let located = match kind {
         StrategyKind::Linear => (0..PROBE_PAGES).any(|page| p.page(page) == Some(true)),
@@ -175,7 +189,7 @@ pub fn run_round(kind: StrategyKind, seed: u64, drop: DropFn<'_>) -> ProbeSessio
         }),
     };
 
-    ProbeSession {
+    let session = ProbeSession {
         strategy: kind.name(),
         secret,
         start_vtime,
@@ -189,7 +203,8 @@ pub fn run_round(kind: StrategyKind, seed: u64, drop: DropFn<'_>) -> ProbeSessio
             Vec::new()
         },
         log: p.sim.proc.fault_log[log_start..].to_vec(),
-    }
+    };
+    (session, p.sim)
 }
 
 /// Binary-search-style probing: coarse pass at the secret region's
@@ -299,6 +314,44 @@ mod tests {
         assert_eq!(s.dropped, s.probes);
         assert_eq!(s.log.len(), 0, "dropped probes never touch memory");
         assert!(s.escalation.is_empty());
+    }
+
+    /// Counts data reads, so the scheduler must step every instruction.
+    struct Observing(u64);
+
+    impl cr_vm::Hook for Observing {
+        fn on_mem_read(&mut self, _: &cr_vm::Cpu, _: u64, _: usize) {
+            self.0 += 1;
+        }
+    }
+
+    impl OsHook for Observing {}
+
+    #[test]
+    fn burst_idles_are_fast_forwarded_exactly() {
+        let (fast, sim) = drive(StrategyKind::Burst, 7, &mut |_| false, &mut NullHook);
+        let idles = (fast.probes - 1) / BURST_LEN;
+        assert!(idles >= 3, "the round must idle between bursts");
+        let skipped = sim.proc.vtime_skipped();
+        assert!(
+            skipped * 100 >= (idles * BURST_IDLE_STEPS) * 99,
+            "skipped {skipped} of {idles} idles x {BURST_IDLE_STEPS} steps"
+        );
+
+        let mut observing = Observing(0);
+        let (slow, sim) = drive(StrategyKind::Burst, 7, &mut |_| false, &mut observing);
+        assert_eq!(
+            sim.proc.vtime_skipped(),
+            0,
+            "a non-inert hook sees every step"
+        );
+        // The worker's poll loop reads the job word once per 5-step period.
+        assert!(observing.0 >= idles * BURST_IDLE_STEPS / 5);
+        assert_eq!(
+            (fast.end_vtime, fast.probes, fast.located, fast.secret),
+            (slow.end_vtime, slow.probes, slow.located, slow.secret)
+        );
+        assert_eq!(fast.log, slow.log, "identical fault timestamps");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * no detector false-positives on the benign browsing workload;
 //! * repeated matrix runs render byte-identical summaries.
 //!
-//! Wall-time numbers are recorded, never asserted.
+//! Wall-time numbers are recorded, never asserted. The report is
+//! stamped with the recording machine's core count and the commit it was
+//! built from (`cores`, `git_rev`).
 
 use serde::Serialize;
 use std::time::Instant;
@@ -47,6 +49,10 @@ struct StrategyRow {
 
 #[derive(serde::Serialize)]
 struct DefenseReport {
+    /// `available_parallelism()` on the recording machine.
+    cores: usize,
+    /// Commit the bench was built from.
+    git_rev: String,
     rounds: usize,
     seed: u64,
     strategies: Vec<StrategyRow>,
@@ -177,6 +183,8 @@ fn main() {
         })
         .collect();
     let report = DefenseReport {
+        cores: cr_bench::cores(),
+        git_rev: cr_bench::git_rev(),
         rounds: bench_rounds,
         seed,
         strategies,

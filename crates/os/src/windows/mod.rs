@@ -23,7 +23,7 @@ pub mod api;
 use crate::{OsHook, STEPS_PER_MS};
 use api::{execute_api, ApiOutcome, ApiTable};
 use cr_image::{FilterRef, PeImage};
-use cr_vm::{Cpu, Exit, Fault, Memory, NullHook, Prot};
+use cr_vm::{Cpu, Exit, Fault, Flags, Memory, NullHook, Prot};
 
 /// `STATUS_ACCESS_VIOLATION`.
 pub const STATUS_ACCESS_VIOLATION: u32 = 0xC000_0005;
@@ -120,6 +120,35 @@ enum TState {
     Exited,
 }
 
+/// How one scheduling slice ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slice {
+    /// Nothing could run within the budget.
+    Idle,
+    /// A thread ran (or virtual time jumped to a sleeper's deadline).
+    Ran,
+    /// The running thread yielded with `hlt` and the slice dispatched
+    /// no API call and no exception.
+    Yielded,
+}
+
+/// What the idle fast-forward compares between two consecutive clean
+/// yields: everything the next slice's outcome can depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IdleState {
+    cur: usize,
+    regs: [u64; 16],
+    rip: u64,
+    flags: Flags,
+    generation: u64,
+    writes: u64,
+    faults: usize,
+}
+
+/// An [`IdleState`] with the virtual time and the running thread's
+/// retired-step count it was taken at.
+type IdleMark = (IdleState, u64, u64);
+
 #[derive(Debug)]
 struct WinThread {
     tid: u32,
@@ -151,6 +180,7 @@ pub struct WinProc {
     alloc_next: u64,
     crashed: Option<WinCrash>,
     cur: usize,
+    vtime_skipped: u64,
 }
 
 impl std::fmt::Debug for WinProc {
@@ -189,6 +219,7 @@ impl WinProc {
             alloc_next: ALLOC_BASE,
             crashed: None,
             cur: 0,
+            vtime_skipped: 0,
         };
         p.spawn_thread(TRAP_PAGE, 0); // main thread, parked at trap
         p.threads[0].state = TState::Parked;
@@ -329,8 +360,14 @@ impl WinProc {
     }
 
     /// Run background threads until idle/crash or budget exhaustion.
+    ///
+    /// Under an inert hook, whole periods of a provably periodic idle
+    /// loop are skipped arithmetically (see [`WinProc::vtime_skipped`]);
+    /// the result is identical to stepping them.
     pub fn run(&mut self, max_steps: u64, hook: &mut dyn OsHook) -> WinRunExit {
         let budget_end = self.vtime.saturating_add(max_steps);
+        let inert = hook.inert();
+        let mut mark = None;
         loop {
             if let Some(c) = self.crashed {
                 return WinRunExit::Crashed(c);
@@ -338,14 +375,73 @@ impl WinProc {
             if self.vtime >= budget_end {
                 return WinRunExit::StepLimit;
             }
-            if !self.schedule_slice(budget_end, hook) {
-                return WinRunExit::Idle;
+            match self.schedule_slice(budget_end, hook) {
+                Slice::Idle => return WinRunExit::Idle,
+                Slice::Yielded if inert => mark = self.fast_forward(mark, budget_end),
+                Slice::Yielded | Slice::Ran => mark = None,
             }
         }
     }
 
-    /// Run one scheduling slice; returns false if nothing could run.
-    fn schedule_slice(&mut self, budget_end: u64, hook: &mut dyn OsHook) -> bool {
+    /// Virtual time [`WinProc::run`] advanced without stepping: the sum
+    /// of every skipped idle-loop period so far.
+    pub fn vtime_skipped(&self) -> u64 {
+        self.vtime_skipped
+    }
+
+    /// Exact idle fast-forward, called after each clean `hlt` yield in
+    /// [`WinProc::run`] under an inert hook. With exactly one runnable
+    /// thread, a slice that touched no memory, mapping or fault log and
+    /// ended in the state the previous clean yield ended in will repeat
+    /// forever: nothing else runs, and the guest cannot observe virtual
+    /// time without an API call. The loop is then skipped by whole
+    /// periods up to the budget end or the earliest sleeper deadline
+    /// (a woken sleeper breaks the fixed point), and the tail shorter
+    /// than a period is stepped as usual. Returns the mark the next
+    /// yield compares against.
+    fn fast_forward(&mut self, prev: Option<IdleMark>, budget_end: u64) -> Option<IdleMark> {
+        let runnable = self
+            .threads
+            .iter()
+            .filter(|t| t.state == TState::Runnable)
+            .count();
+        if runnable != 1 {
+            return None;
+        }
+        let cpu = &self.threads[self.cur].cpu;
+        let state = IdleState {
+            cur: self.cur,
+            regs: cpu.regs,
+            rip: cpu.rip,
+            flags: cpu.flags,
+            generation: self.mem.generation(),
+            writes: self.mem.writes(),
+            faults: self.fault_log.len(),
+        };
+        let steps = cpu.steps;
+        match prev {
+            Some((prev, vtime, prev_steps)) if prev == state => {
+                let period = self.vtime - vtime;
+                let limit = self
+                    .threads
+                    .iter()
+                    .filter_map(|t| match t.state {
+                        TState::Sleeping(d) => Some(d),
+                        _ => None,
+                    })
+                    .fold(budget_end, u64::min);
+                let k = limit.saturating_sub(self.vtime) / period;
+                self.vtime += k * period;
+                self.vtime_skipped += k * period;
+                self.threads[self.cur].cpu.steps += k * (steps - prev_steps);
+                None
+            }
+            _ => Some((state, self.vtime, steps)),
+        }
+    }
+
+    /// Run one scheduling slice.
+    fn schedule_slice(&mut self, budget_end: u64, hook: &mut dyn OsHook) -> Slice {
         // Wake sleepers whose deadline passed.
         let vtime = self.vtime;
         for t in &mut self.threads {
@@ -377,14 +473,15 @@ impl WinProc {
             match next {
                 Some(d) if d <= budget_end => {
                     self.vtime = d.max(self.vtime + 1);
-                    return true;
+                    return Slice::Ran;
                 }
-                _ => return false,
+                _ => return Slice::Idle,
             }
         };
         self.cur = i;
         hook.on_schedule(self.threads[i].tid);
         let slice_end = budget_end.min(self.vtime + QUANTUM);
+        let mut api_calls = false;
         while self.vtime < slice_end
             && self.threads[i].state == TState::Runnable
             && self.crashed.is_none()
@@ -396,13 +493,16 @@ impl WinProc {
             }
             if self.api.contains(rip) {
                 self.dispatch_api(i, hook);
+                api_calls = true;
                 continue;
             }
             let exit = self.threads[i].cpu.step(&mut self.mem, hook);
             self.vtime += 1;
             match exit {
                 Exit::Normal | Exit::Breakpoint | Exit::Hypercall | Exit::Syscall => {}
-                Exit::Halt => break, // cooperative yield
+                // Cooperative yield.
+                Exit::Halt if api_calls => break,
+                Exit::Halt => return Slice::Yielded,
                 Exit::Fault(f) => {
                     self.dispatch_exception(i, STATUS_ACCESS_VIOLATION, Some(f), hook);
                     break;
@@ -413,7 +513,7 @@ impl WinProc {
                 }
             }
         }
-        true
+        Slice::Ran
     }
 
     fn dispatch_api(&mut self, i: usize, hook: &mut dyn OsHook) {
@@ -669,6 +769,11 @@ impl WinProc {
             .collect()
     }
 
+    /// CPU state of thread `tid`, for test assertions.
+    pub fn thread_cpu(&self, tid: u32) -> Option<&Cpu> {
+        self.threads.iter().find(|t| t.tid == tid).map(|t| &t.cpu)
+    }
+
     /// Fuzzer entry: execute an API behaviour directly against this
     /// process's memory without any guest code.
     pub fn call_api_raw(&mut self, name: &str, args: [u64; 4]) -> ApiOutcome {
@@ -679,5 +784,50 @@ impl WinProc {
             .expect("address_of validated the name");
         self.vtime += 20;
         execute_api(&spec, args, &mut self.mem, self.vtime)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cr_isa::{Asm, Mem as M, Reg::*};
+    use cr_vm::CoverageHook;
+
+    const CODE: u64 = 0x1_7000_0000;
+    const DATA: u64 = 0x1_7100_0000;
+
+    /// A process whose one background thread runs `body`.
+    fn proc_with(body: impl FnOnce(&mut Asm)) -> WinProc {
+        let mut a = Asm::new(CODE);
+        body(&mut a);
+        let code = a.assemble().expect("assembles").code;
+        let mut p = WinProc::new(ApiTable::curated_only());
+        p.mem.map(CODE, 0x1000, Prot::RX);
+        p.mem.poke(CODE, &code).expect("mapped");
+        p.mem.map(DATA, 0x1000, Prot::RW);
+        p.spawn_thread(CODE, 0);
+        p
+    }
+
+    #[test]
+    fn a_loop_writing_memory_is_never_skipped() {
+        // Registers and flags repeat every period, memory does not.
+        let count = |a: &mut Asm| {
+            let top = a.here();
+            a.mov_ri(R9, DATA);
+            a.load(Rax, M::base(R9));
+            a.add_ri(Rax, 1);
+            a.store(M::base(R9), Rax);
+            a.zero(Rax);
+            a.hlt();
+            a.jmp(top);
+        };
+        let mut fast = proc_with(count);
+        let mut slow = proc_with(count);
+        fast.run(100_000, &mut NullHook);
+        slow.run(100_000, &mut CoverageHook::new());
+        assert_eq!(fast.vtime, slow.vtime);
+        assert_eq!(fast.mem.read_u64(DATA), slow.mem.read_u64(DATA));
+        assert_eq!(fast.vtime_skipped(), 0);
     }
 }

@@ -48,13 +48,25 @@ pub trait Hook {
     fn on_ret(&mut self, cpu: &Cpu, ret_to: u64) {
         let _ = (cpu, ret_to);
     }
+
+    /// Whether every callback (this trait's and any extension's) is a
+    /// no-op, so that skipping execution is unobservable to the hook.
+    /// Schedulers may fast-forward provably idle code only under an
+    /// inert hook. Defaults to `false`.
+    fn inert(&self) -> bool {
+        false
+    }
 }
 
 /// A hook that observes nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHook;
 
-impl Hook for NullHook {}
+impl Hook for NullHook {
+    fn inert(&self) -> bool {
+        true
+    }
+}
 
 /// Records basic-block-ish coverage: every executed instruction address,
 /// plus the dynamic call edges. The exception-handler analysis
@@ -133,6 +145,10 @@ impl<A: Hook, B: Hook> Hook for PairHook<A, B> {
         self.0.on_ret(cpu, ret_to);
         self.1.on_ret(cpu, ret_to);
     }
+
+    fn inert(&self) -> bool {
+        self.0.inert() && self.1.inert()
+    }
 }
 
 #[cfg(test)]
@@ -141,6 +157,15 @@ mod tests {
     use crate::cpu::{Cpu, Exit};
     use crate::mem::{Memory, Prot};
     use cr_isa::Asm;
+
+    #[test]
+    fn only_null_hooks_are_inert() {
+        assert!(NullHook.inert());
+        assert!(PairHook(NullHook, NullHook).inert());
+        assert!(!CoverageHook::new().inert());
+        assert!(!PairHook(NullHook, CoverageHook::new()).inert());
+        assert!(!PairHook(CoverageHook::new(), NullHook).inert());
+    }
 
     #[test]
     fn coverage_records_calls_and_visits() {

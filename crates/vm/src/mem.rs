@@ -141,6 +141,7 @@ struct Page {
 pub struct Memory {
     pages: HashMap<u64, Page>,
     generation: u64,
+    writes: u64,
 }
 
 impl Default for Memory {
@@ -163,6 +164,7 @@ impl Memory {
         Memory {
             pages: HashMap::new(),
             generation: 0,
+            writes: 0,
         }
     }
 
@@ -172,6 +174,14 @@ impl Memory {
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// A counter bumped on every attempted data write ([`Memory::write`]
+    /// and [`Memory::poke`], faulting or not). Together with [`Memory::generation`] it witnesses that an
+    /// interval of execution left the address space untouched.
+    #[inline]
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// Map `[addr, addr+len)` with protection `prot`, zero-filled.
@@ -480,6 +490,7 @@ impl Memory {
         access: Access,
         mut f: impl FnMut(&mut Page, usize, usize, usize),
     ) -> Result<(), Fault> {
+        self.writes += 1;
         let mut i = 0usize;
         while (i as u64) < len {
             let a = addr + i as u64;
@@ -604,6 +615,31 @@ mod tests {
         // But unmapped still faults.
         assert!(m.poke(0x9000, &[0]).is_err());
         assert!(m.peek(0x9000, &mut b).is_err());
+    }
+
+    #[test]
+    fn writes_counts_every_write_attempt_and_no_read() {
+        let mut m = Memory::new();
+        m.map(0x1000, 0x1000, Prot::R);
+        let w0 = m.writes();
+        m.read_u64(0x1000).unwrap();
+        let mut b = [0u8];
+        m.peek(0x1000, &mut b).unwrap();
+        assert_eq!(m.writes(), w0, "reads leave the counter alone");
+        assert!(m.write_u64(0x1000, 1).is_err());
+        assert_eq!(m.writes(), w0 + 1, "a faulting write still counts");
+        let gen = m.generation();
+        m.poke(0x1000, &[1]).unwrap();
+        assert!(m.writes() > w0 + 1, "poke counts");
+        m.protect(0x1000, 0x1000, Prot::RW);
+        let w = m.writes();
+        m.write_u64(0x1000, 2).unwrap();
+        assert_eq!(m.writes(), w + 1);
+        assert_eq!(
+            m.generation(),
+            gen + 2,
+            "plain writes leave generation alone"
+        );
     }
 
     #[test]

@@ -156,6 +156,17 @@ grep -q '"filter_blocks_escalations":true' "$smoke_tmp/arena.json" \
 grep -q '"zero_false_positives":true' "$smoke_tmp/arena.json" \
   || { echo "[check] a detector false-positived on benign browsing" >&2; exit 1; }
 
+# arena-bench: two bench rounds of the same matrix. The binary itself
+# asserts the six headline invariants (stealth evades rate, CUSUM
+# catches stealth, rate catches the loud strategies, the filter blocks
+# every escalation, zero false positives, byte-identical rounds). The
+# JSON lands in the temporary smoke dir, so the committed BENCH_defense.json is
+# never rewritten; its wall times are recorded, never asserted.
+echo "[check] arena-bench (headline + determinism asserts, 2 rounds)"
+ARENA_BENCH_ROUNDS=2 ARENA_BENCH_OUT="$smoke_tmp/defense.json" \
+  target/release/arena_bench > /dev/null 2> "$smoke_tmp/arena_bench.log" \
+  || { cat "$smoke_tmp/arena_bench.log" >&2; echo "[check] arena_bench failed" >&2; exit 1; }
+
 # serve-smoke: start the resident server on an ephemeral port, send one
 # cold and one warm request over a single client connection, assert the
 # warm invariants (zero solver calls, resident parsed image), and drain
