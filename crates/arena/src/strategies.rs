@@ -343,7 +343,7 @@ mod tests {
         assert_eq!(
             sim.proc.vtime_skipped(),
             0,
-            "a non-inert hook sees every step"
+            "a hook without an epoch sees every step"
         );
         // The worker's poll loop reads the job word once per 5-step period.
         assert!(observing.0 >= idles * BURST_IDLE_STEPS / 5);

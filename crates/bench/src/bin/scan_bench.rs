@@ -16,7 +16,9 @@
 //! recall must be 100% against every taint-confirmed site set, and
 //! report bytes must be identical across repeated scans. Wall-time
 //! numbers are recorded, never asserted — timing belongs in the JSON,
-//! not in CI pass/fail.
+//! not in CI pass/fail. The report is stamped with the recording
+//! machine's core count and the commit it was built from (`cores`,
+//! `git_rev`).
 
 use serde::Serialize;
 use std::time::Instant;
@@ -53,6 +55,10 @@ struct AgreementRow {
 
 #[derive(serde::Serialize)]
 struct StaticReport {
+    /// `available_parallelism()` on the recording machine.
+    cores: usize,
+    /// Commit the bench was built from.
+    git_rev: String,
     rounds: usize,
     modules: Vec<ModuleRow>,
     agreement: Vec<AgreementRow>,
@@ -156,6 +162,8 @@ fn main() {
     let total_instructions: usize = rows.iter().map(|r| r.instructions).sum();
     let total_wall_us: u64 = rows.iter().map(|r| r.wall_us).sum();
     let report = StaticReport {
+        cores: cr_bench::cores(),
+        git_rev: cr_bench::git_rev(),
         rounds,
         modules: rows,
         agreement,

@@ -12,7 +12,9 @@
 //! Asserts the serve determinism contract while it measures: every
 //! completed request's result document must be byte-identical, warm
 //! requests must never reach the solver, and no request may execute
-//! more than once. Wall-time numbers are recorded, never asserted.
+//! more than once. Wall-time numbers are recorded, never asserted. The
+//! report is stamped with the recording machine's core count and the
+//! commit it was built from (`cores`, `git_rev`).
 //!
 //! A second phase scales the same warm workload across a supervised
 //! fleet at 1/2/4/8 workers (`fleet` entries in the report): eight
@@ -30,6 +32,10 @@ use std::time::Instant;
 
 #[derive(serde::Serialize)]
 struct ServeLoadReport {
+    /// `available_parallelism()` on the recording machine.
+    cores: usize,
+    /// Commit the bench was built from.
+    git_rev: String,
     clients: usize,
     requests_per_client: usize,
     total_requests: usize,
@@ -353,6 +359,8 @@ fn main() {
     let total_requests = latencies.len();
     let warm_p50_us = percentile(&latencies, 0.50);
     let report = ServeLoadReport {
+        cores: cr_bench::cores(),
+        git_rev: cr_bench::git_rev(),
         clients,
         requests_per_client,
         total_requests,

@@ -341,6 +341,13 @@ impl Hook for CorruptMonitor {
             }
         }
     }
+
+    /// The poke count: `originals` and the memory write change only
+    /// together with a poke, so between pokes every callback is a
+    /// deterministic function of its arguments.
+    fn epoch(&self) -> Option<u64> {
+        Some(u64::from(self.pokes))
+    }
 }
 
 impl OsHook for CorruptMonitor {}
@@ -523,6 +530,9 @@ mod tests {
                 service_after: true
             }
         );
+        // Three workers spinning through the 4M-step exercise budget;
+        // the count stepping gives, kept exact by the spin fast-forward.
+        assert_eq!(ep.efaults_observed, 512_250);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Focused unit tests for the discovery monitors: candidate recording at
 //! syscall boundaries, per-thread shadow-bank isolation, and the
-//! corruption monitor's poke/restore bookkeeping.
+//! corruption monitor's poke/restore bookkeeping and epoch.
 
 use cr_core::syscall_finder::{CorruptMonitor, FinderMonitor, BAD_POINTER};
 use cr_image::{ElfImage, ElfSegment, SegPerm};
 use cr_isa::{Asm, Mem as M, Reg};
-use cr_os::linux::syscall::nr;
+use cr_os::linux::syscall::{errno, nr};
 use cr_os::linux::{LinuxProc, RunExit};
-use cr_vm::NullHook;
+use cr_os::OsHook;
+use cr_vm::{Cpu, Exit, Hook, Memory, NullHook, Prot};
 use std::collections::BTreeSet;
 use Reg::*;
 
@@ -196,4 +197,54 @@ fn per_thread_banks_do_not_cross_contaminate() {
         mon.candidates.keys().collect::<Vec<_>>()
     );
     let _ = NullHook;
+}
+
+#[test]
+fn corrupt_monitor_epoch_moves_on_every_poke_and_nothing_else() {
+    const CODE: u64 = 0x40_0000;
+    const STACK: u64 = 0x7F_0000;
+    let mut a = Asm::new(CODE);
+    let f = a.fresh();
+    a.mov_ri(R11, DATA);
+    a.load(Rsi, M::base(R11)); // poke
+    a.load(Rbx, M::base(R11)); // already poisoned: no poke
+    a.load(Rcx, M::base_disp(R11, 8)); // not a tracked cell
+    a.store(M::base_disp(R11, 16), Rcx); // a plain write
+    a.call_label(f);
+    a.mov_ri(R9, DATA + 0x80);
+    a.store(M::base(R11), R9); // the guest repairs the cell...
+    a.load(Rsi, M::base(R11)); // ...and the next load pokes again
+    a.hlt();
+    a.bind(f);
+    a.ret();
+    let code = a.assemble().unwrap().code;
+    let mut mem = Memory::new();
+    mem.map(CODE, 0x1000, Prot::RX);
+    mem.poke(CODE, &code).unwrap();
+    mem.map(DATA, 0x1000, Prot::RW);
+    mem.write_u64(DATA, DATA + 0x80).unwrap();
+    mem.map(STACK, 0x1000, Prot::RW);
+    let mut cpu = Cpu::new();
+    cpu.rip = CODE;
+    cpu.set_reg(Rsp, STACK + 0x800);
+    let mut cm = CorruptMonitor::new([DATA].into_iter().collect(), BAD_POINTER);
+    loop {
+        let (epoch, pokes) = (cm.epoch(), cm.pokes);
+        let exit = cpu.step(&mut mem, &mut cm);
+        assert_eq!(
+            cm.epoch() != epoch,
+            cm.pokes != pokes,
+            "epoch moves exactly with the pokes at {:#x}",
+            cpu.rip
+        );
+        let epoch = cm.epoch();
+        cm.on_schedule(2);
+        cm.on_syscall(2, &mut cpu, &mem);
+        cm.on_syscall_ret(2, nr::EPOLL_WAIT, -errno::EFAULT);
+        assert_eq!(cm.epoch(), epoch, "OS events leave the epoch alone");
+        if exit == Exit::Halt {
+            break;
+        }
+    }
+    assert_eq!((cm.pokes, cm.epoch()), (2, Some(2)));
 }

@@ -12,7 +12,7 @@ pub mod syscall;
 
 use crate::{OsHook, STEPS_PER_MS};
 use cr_image::ElfImage;
-use cr_vm::{Access, Cpu, Exit, Fault, Hook, Memory, Prot};
+use cr_vm::{Access, Cpu, Exit, Fault, Flags, Hook, Memory, Prot};
 use fs::{FsError, Vfs};
 use net::{ConnId, VirtualNet};
 use std::collections::HashMap;
@@ -28,7 +28,7 @@ const MMAP_BASE: u64 = 0x7F00_0000_0000;
 
 /// What a thread is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Wait {
+pub enum Wait {
     /// Readable bytes (or EOF) on a connection.
     ConnReadable(ConnId),
     /// A pending connection on a listening port.
@@ -39,11 +39,66 @@ enum Wait {
     Sleep,
 }
 
+/// A thread's scheduling state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ThreadState {
+pub enum ThreadState {
+    /// Ready to run.
     Runnable,
-    Blocked { wait: Wait, deadline: Option<u64> },
+    /// Blocked in a syscall until `wait` is ready or virtual time reaches
+    /// `deadline`.
+    Blocked {
+        /// The readiness condition.
+        wait: Wait,
+        /// Absolute vtime of the timeout, if any.
+        deadline: Option<u64>,
+    },
+    /// Exited.
     Exited,
+}
+
+/// One thread's part of a [`SpinMark`].
+#[derive(Debug, Clone, Copy)]
+struct ThreadMark {
+    state: ThreadState,
+    pending: Option<(u64, [u64; 6])>,
+    timer_fired: bool,
+    regs: [u64; 16],
+    rip: u64,
+    flags: Flags,
+    steps: u64,
+}
+
+/// What the spin fast-forward compares between two clean slice ends:
+/// everything the following slices' outcomes can depend on, plus the
+/// counters a skip advances (`vtime`, `efaults`, each thread's steps).
+#[derive(Debug, Default)]
+struct SpinMark {
+    cur: usize,
+    generation: u64,
+    writes: u64,
+    epoch: u64,
+    vtime: u64,
+    efaults: u64,
+    threads: Vec<ThreadMark>,
+}
+
+/// Cycle detection over consecutive clean slices (Brent): one saved
+/// mark, moved to the current slice end after every match and whenever
+/// the count of slices since it reaches `power`, which then doubles. A
+/// cycle of `λ` slices is found once `power ≥ λ`, with one comparison
+/// per slice.
+#[derive(Debug, Default)]
+struct SpinDetector {
+    mark: SpinMark,
+    saved: bool,
+    since: u64,
+    power: u64,
+}
+
+impl SpinDetector {
+    fn reset(&mut self) {
+        self.saved = false;
+    }
 }
 
 /// One thread of the emulated process.
@@ -69,6 +124,12 @@ impl Thread {
     /// Whether the thread is blocked in a syscall.
     pub fn blocked(&self) -> bool {
         matches!(self.state, ThreadState::Blocked { .. })
+    }
+
+    /// The whole scheduler state — state, saved pending syscall and the
+    /// timer-fired flag — for test assertions.
+    pub fn sched_state(&self) -> (ThreadState, Option<(u64, [u64; 6])>, bool) {
+        (self.state, self.pending, self.timer_fired)
     }
 }
 
@@ -130,6 +191,10 @@ pub struct LinuxProc {
     exited: Option<i64>,
     crashed: Option<CrashInfo>,
     cur: usize,
+    vtime_skipped: u64,
+    /// Whether the running slice so far qualifies for the spin
+    /// fast-forward (see [`spin_clean`]).
+    slice_clean: bool,
 }
 
 impl std::fmt::Debug for LinuxProc {
@@ -186,6 +251,8 @@ impl LinuxProc {
             exited: None,
             crashed: None,
             cur: 0,
+            vtime_skipped: 0,
+            slice_clean: true,
         }
     }
 
@@ -206,8 +273,15 @@ impl LinuxProc {
 
     /// Run until idle/exit/crash or for at most `max_steps` retired
     /// instructions.
+    ///
+    /// Under a hook with an epoch ([`cr_vm::Hook::epoch`]), whole periods
+    /// of a provably periodic process state — threads spinning on
+    /// `-EFAULT` retries, sleepers re-arming their timers — are skipped
+    /// arithmetically (see [`LinuxProc::vtime_skipped`]); the result is
+    /// identical to stepping them.
     pub fn run(&mut self, max_steps: u64, hook: &mut dyn OsHook) -> RunExit {
         let budget_end = self.vtime.saturating_add(max_steps);
+        let mut spin = SpinDetector::default();
         loop {
             if let Some(code) = self.exited {
                 return RunExit::Exited(code);
@@ -224,17 +298,151 @@ impl LinuxProc {
                 match self.earliest_deadline() {
                     Some(d) if d <= budget_end => {
                         self.vtime = d.max(self.vtime + 1);
+                        spin.reset();
                         continue;
                     }
                     _ => return RunExit::Idle,
                 }
             };
             self.cur = idx;
-            self.run_thread_slice(idx, budget_end.min(self.vtime + QUANTUM), hook);
+            let clean = self.run_thread_slice(idx, budget_end.min(self.vtime + QUANTUM), hook);
+            match hook.epoch() {
+                Some(epoch) if clean => self.spin_forward(&mut spin, epoch, budget_end),
+                _ => spin.reset(),
+            }
         }
     }
 
-    fn run_thread_slice(&mut self, idx: usize, slice_end: u64, hook: &mut dyn OsHook) {
+    /// Virtual time [`LinuxProc::run`] advanced without stepping: the sum
+    /// of every skipped period so far.
+    pub fn vtime_skipped(&self) -> u64 {
+        self.vtime_skipped
+    }
+
+    /// Exact spin fast-forward, called after each clean slice (see
+    /// [`spin_clean`]) in [`LinuxProc::run`] under a hook with an epoch.
+    ///
+    /// A clean slice touches nothing outside its thread's registers and
+    /// scheduler state: memory, mappings, fds, the network, the console
+    /// and the hook's state are only read. The scheduler's next moves
+    /// depend on vtime only through deadline comparisons, and a timer
+    /// re-armed inside a clean slice is relative to vtime. So if a slice
+    /// ends in the state `mark` was taken in — with every deadline either
+    /// absolutely equal (not re-armed since) or equal relative to vtime
+    /// (re-armed every period) — execution from here is the period since
+    /// `mark` repeated, shifted in time. It is skipped by `k` whole
+    /// periods, stopping at or before the budget end and every absolute
+    /// deadline (a timer that fires breaks the cycle at the slice where
+    /// stepping would see it). The tail shorter than a period is stepped.
+    ///
+    /// After a match, skipped or not, the mark moves to the current state
+    /// and the doubling schedule goes on: a short cycle cut off by a
+    /// sleeper's absolute deadline keeps matching only up to that
+    /// deadline, and the longer joint cycle in which the sleeper re-arms
+    /// is found once the schedule has grown to its length.
+    fn spin_forward(&mut self, spin: &mut SpinDetector, epoch: u64, budget_end: u64) {
+        if !spin.saved {
+            spin.power = 1;
+        } else if let Some(limit) = self.spin_limit(&spin.mark, epoch, budget_end) {
+            let mark = &spin.mark;
+            let period = self.vtime - mark.vtime;
+            let k = limit.saturating_sub(self.vtime) / period;
+            let shift = k * period;
+            self.vtime += shift;
+            self.vtime_skipped += shift;
+            self.efault_count += k * (self.efault_count - mark.efaults);
+            for (t, m) in self.threads.iter_mut().zip(&mark.threads) {
+                t.cpu.steps += k * (t.cpu.steps - m.steps);
+                if let (
+                    ThreadState::Blocked {
+                        deadline: Some(d), ..
+                    },
+                    ThreadState::Blocked {
+                        deadline: Some(d0), ..
+                    },
+                ) = (&mut t.state, m.state)
+                {
+                    if *d != d0 {
+                        *d += shift;
+                    }
+                }
+            }
+        } else {
+            spin.since += 1;
+            if spin.since < spin.power {
+                return;
+            }
+            spin.power *= 2;
+        }
+        spin.saved = true;
+        spin.since = 0;
+        let mark = &mut spin.mark;
+        mark.cur = self.cur;
+        mark.generation = self.mem.generation();
+        mark.writes = self.mem.writes();
+        mark.epoch = epoch;
+        mark.vtime = self.vtime;
+        mark.efaults = self.efault_count;
+        mark.threads.clear();
+        mark.threads.extend(self.threads.iter().map(|t| ThreadMark {
+            state: t.state,
+            pending: t.pending,
+            timer_fired: t.timer_fired,
+            regs: t.cpu.regs,
+            rip: t.cpu.rip,
+            flags: t.cpu.flags,
+            steps: t.cpu.steps,
+        }));
+    }
+
+    /// If the live state repeats `mark` (see [`LinuxProc::spin_forward`]),
+    /// the vtime a skip must not pass: `budget_end` or the earliest
+    /// absolutely equal deadline. `None` if anything differs, or a
+    /// deadline moved by other than the period.
+    fn spin_limit(&self, mark: &SpinMark, epoch: u64, budget_end: u64) -> Option<u64> {
+        let period = self.vtime - mark.vtime;
+        if period == 0
+            || (self.cur, self.mem.generation(), self.mem.writes(), epoch)
+                != (mark.cur, mark.generation, mark.writes, mark.epoch)
+            || self.threads.len() != mark.threads.len()
+        {
+            return None;
+        }
+        let mut limit = budget_end;
+        for (t, m) in self.threads.iter().zip(&mark.threads) {
+            if (t.pending, t.timer_fired, t.cpu.regs, t.cpu.rip, t.cpu.flags)
+                != (m.pending, m.timer_fired, m.regs, m.rip, m.flags)
+            {
+                return None;
+            }
+            match (t.state, m.state) {
+                (
+                    ThreadState::Blocked {
+                        wait,
+                        deadline: Some(d),
+                    },
+                    ThreadState::Blocked {
+                        wait: w0,
+                        deadline: Some(d0),
+                    },
+                ) if wait == w0 => {
+                    if d == d0 {
+                        limit = limit.min(d);
+                    } else if d.wrapping_sub(d0) != period {
+                        return None;
+                    }
+                }
+                (a, b) if a == b => {}
+                _ => return None,
+            }
+        }
+        Some(limit)
+    }
+
+    /// Run one slice of thread `idx`; returns whether it was clean (see
+    /// [`spin_clean`]).
+    fn run_thread_slice(&mut self, idx: usize, slice_end: u64, hook: &mut dyn OsHook) -> bool {
+        self.slice_clean = true;
         hook.on_schedule(self.threads[idx].tid);
         // Re-dispatch a pending (blocking) syscall first if one is saved.
         // Argument registers are unchanged while blocked, so the retry
@@ -256,7 +464,7 @@ impl LinuxProc {
             };
             self.dispatch(idx, nr_, args, hook);
             if self.threads[idx].state != ThreadState::Runnable {
-                return;
+                return self.slice_clean && self.alive();
             }
         }
         while self.vtime < slice_end
@@ -293,14 +501,15 @@ impl LinuxProc {
                 }
                 Exit::Fault(f) => {
                     self.deliver_fault(idx, Some(f));
-                    break;
+                    return false;
                 }
                 Exit::IllegalInst => {
                     self.deliver_fault(idx, None);
-                    break;
+                    return false;
                 }
             }
         }
+        self.slice_clean && self.alive()
     }
 
     fn deliver_fault(&mut self, idx: usize, fault: Option<Fault>) {
@@ -417,11 +626,13 @@ impl LinuxProc {
     }
 
     fn block(&mut self, idx: usize, nr_: u64, args: [u64; 6], wait: Wait, deadline: Option<u64>) {
+        self.slice_clean &= spin_clean(nr_, None);
         self.threads[idx].pending = Some((nr_, args));
         self.threads[idx].state = ThreadState::Blocked { wait, deadline };
     }
 
     fn finish(&mut self, idx: usize, nr_: u64, ret: i64, hook: &mut dyn OsHook) {
+        self.slice_clean &= spin_clean(nr_, Some(ret));
         if ret == -errno::EFAULT {
             self.efault_count += 1;
         }
@@ -788,6 +999,7 @@ impl LinuxProc {
                 tid as i64
             }
             nr::EXIT => {
+                self.slice_clean = false;
                 self.threads[idx].state = ThreadState::Exited;
                 if self.threads.iter().all(|t| t.state == ThreadState::Exited) {
                     self.exited = Some(args[0] as i64);
@@ -874,6 +1086,22 @@ impl LinuxProc {
             None => None,
         }
     }
+}
+
+/// Whether a dispatched syscall keeps its slice clean for the spin
+/// fast-forward: its only effects are on the calling thread's registers
+/// and scheduler state. `ret` is `None` when the call blocked.
+///
+/// Two kinds qualify. A `-EFAULT` from anything but `read`, `recvfrom`
+/// and `recvmsg` (those consume connection bytes before the copy fails;
+/// every other `-EFAULT` path validates before any side effect). And the
+/// thread-local timer waits `nanosleep` and `epoll_wait`, whose deadlines
+/// are relative to vtime; events `epoll_wait` writes show in
+/// [`Memory::writes`]. A slice is clean when every syscall it dispatched
+/// qualifies and it delivered no fault and saw no exit.
+fn spin_clean(nr_: u64, ret: Option<i64>) -> bool {
+    matches!(nr_, nr::NANOSLEEP | nr::EPOLL_WAIT)
+        || (ret == Some(-errno::EFAULT) && !matches!(nr_, nr::READ | nr::RECVFROM | nr::RECVMSG))
 }
 
 enum FdKind {

@@ -143,6 +143,7 @@ struct IdleState {
     generation: u64,
     writes: u64,
     faults: usize,
+    epoch: u64,
 }
 
 /// An [`IdleState`] with the virtual time and the running thread's
@@ -361,12 +362,12 @@ impl WinProc {
 
     /// Run background threads until idle/crash or budget exhaustion.
     ///
-    /// Under an inert hook, whole periods of a provably periodic idle
-    /// loop are skipped arithmetically (see [`WinProc::vtime_skipped`]);
-    /// the result is identical to stepping them.
+    /// Under a hook with an epoch ([`cr_vm::Hook::epoch`]), whole periods
+    /// of a provably periodic idle loop are skipped arithmetically (see
+    /// [`WinProc::vtime_skipped`]); the result is identical to stepping
+    /// them.
     pub fn run(&mut self, max_steps: u64, hook: &mut dyn OsHook) -> WinRunExit {
         let budget_end = self.vtime.saturating_add(max_steps);
-        let inert = hook.inert();
         let mut mark = None;
         loop {
             if let Some(c) = self.crashed {
@@ -377,8 +378,12 @@ impl WinProc {
             }
             match self.schedule_slice(budget_end, hook) {
                 Slice::Idle => return WinRunExit::Idle,
-                Slice::Yielded if inert => mark = self.fast_forward(mark, budget_end),
-                Slice::Yielded | Slice::Ran => mark = None,
+                Slice::Yielded => {
+                    mark = hook
+                        .epoch()
+                        .and_then(|epoch| self.fast_forward(mark, epoch, budget_end));
+                }
+                Slice::Ran => mark = None,
             }
         }
     }
@@ -390,16 +395,21 @@ impl WinProc {
     }
 
     /// Exact idle fast-forward, called after each clean `hlt` yield in
-    /// [`WinProc::run`] under an inert hook. With exactly one runnable
-    /// thread, a slice that touched no memory, mapping or fault log and
-    /// ended in the state the previous clean yield ended in will repeat
-    /// forever: nothing else runs, and the guest cannot observe virtual
-    /// time without an API call. The loop is then skipped by whole
-    /// periods up to the budget end or the earliest sleeper deadline
-    /// (a woken sleeper breaks the fixed point), and the tail shorter
-    /// than a period is stepped as usual. Returns the mark the next
-    /// yield compares against.
-    fn fast_forward(&mut self, prev: Option<IdleMark>, budget_end: u64) -> Option<IdleMark> {
+    /// [`WinProc::run`] under a hook with an epoch. With exactly one
+    /// runnable thread, a slice that touched no memory, mapping, fault
+    /// log or hook state and ended in the state the previous clean yield
+    /// ended in will repeat forever: nothing else runs, and the guest
+    /// cannot observe virtual time without an API call. The loop is then
+    /// skipped by whole periods up to the budget end or the earliest
+    /// sleeper deadline (a woken sleeper breaks the fixed point), and the
+    /// tail shorter than a period is stepped as usual. Returns the mark
+    /// the next yield compares against.
+    fn fast_forward(
+        &mut self,
+        prev: Option<IdleMark>,
+        epoch: u64,
+        budget_end: u64,
+    ) -> Option<IdleMark> {
         let runnable = self
             .threads
             .iter()
@@ -417,6 +427,7 @@ impl WinProc {
             generation: self.mem.generation(),
             writes: self.mem.writes(),
             faults: self.fault_log.len(),
+            epoch,
         };
         let steps = cpu.steps;
         match prev {

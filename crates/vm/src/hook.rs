@@ -49,12 +49,17 @@ pub trait Hook {
         let _ = (cpu, ret_to);
     }
 
-    /// Whether every callback (this trait's and any extension's) is a
-    /// no-op, so that skipping execution is unobservable to the hook.
-    /// Schedulers may fast-forward provably idle code only under an
-    /// inert hook. Defaults to `false`.
-    fn inert(&self) -> bool {
-        false
+    /// A counter that changes whenever the hook's state changes.
+    ///
+    /// `Some(e)` promises that every callback (this trait's and any
+    /// extension's) is a deterministic function of `e` and its arguments,
+    /// so that while `e` holds, repeating an execution interval repeats
+    /// the hook's effects and skipping one is unobservable to the hook.
+    /// Schedulers fast-forward provably periodic code only under a hook
+    /// with an epoch, and only across intervals over which it did not
+    /// change. Defaults to `None` (opaque: never skip).
+    fn epoch(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -63,8 +68,8 @@ pub trait Hook {
 pub struct NullHook;
 
 impl Hook for NullHook {
-    fn inert(&self) -> bool {
-        true
+    fn epoch(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -146,8 +151,10 @@ impl<A: Hook, B: Hook> Hook for PairHook<A, B> {
         self.1.on_ret(cpu, ret_to);
     }
 
-    fn inert(&self) -> bool {
-        self.0.inert() && self.1.inert()
+    /// Both sides' epochs are monotone counters, so their sum changes
+    /// whenever either one does.
+    fn epoch(&self) -> Option<u64> {
+        Some(self.0.epoch()?.wrapping_add(self.1.epoch()?))
     }
 }
 
@@ -159,12 +166,12 @@ mod tests {
     use cr_isa::Asm;
 
     #[test]
-    fn only_null_hooks_are_inert() {
-        assert!(NullHook.inert());
-        assert!(PairHook(NullHook, NullHook).inert());
-        assert!(!CoverageHook::new().inert());
-        assert!(!PairHook(NullHook, CoverageHook::new()).inert());
-        assert!(!PairHook(CoverageHook::new(), NullHook).inert());
+    fn only_null_hooks_have_an_epoch() {
+        assert_eq!(NullHook.epoch(), Some(0));
+        assert_eq!(PairHook(NullHook, NullHook).epoch(), Some(0));
+        assert_eq!(CoverageHook::new().epoch(), None);
+        assert_eq!(PairHook(NullHook, CoverageHook::new()).epoch(), None);
+        assert_eq!(PairHook(CoverageHook::new(), NullHook).epoch(), None);
     }
 
     #[test]

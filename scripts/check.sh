@@ -74,6 +74,19 @@ target/release/crash-resist campaign --spec "$smoke_tmp/spec.json" --json 2>/dev
   | grep -q "${envelope}campaign\"" \
   || { echo "[check] campaign --json lacks the envelope" >&2; exit 1; }
 
+# discover-smoke: the Table-I pipeline over all five servers. Discovery
+# is deterministic emulation, so every finding, verdict and `-EFAULT`
+# count (cherokee's 512250 epoll_wait EFAULTs included, a spin the
+# Linux scheduler fast-forwards) must match the golden byte for byte.
+echo "[check] discover-smoke (Table-I findings golden, all five servers)"
+for server in nginx cherokee lighttpd memcached postgresql; do
+  target/release/crash-resist discover "$server" 2>/dev/null
+done > "$smoke_tmp/discover.txt"
+if ! diff -u scripts/golden/discover_smoke.txt "$smoke_tmp/discover.txt"; then
+  echo "[check] discovery diverged from scripts/golden/discover_smoke.txt" >&2
+  exit 1
+fi
+
 # solver-bench smoke: a small corpus through the decision-procedure
 # bench. Only the non-timing invariants gate: the interned and
 # reference pipelines must agree on every verdict, and the warm pass

@@ -1,8 +1,9 @@
 //! Exactness of the Windows scheduler's idle fast-forward: a firefox-sim
-//! driven under `NullHook` (inert, so whole idle-loop periods are
-//! skipped) must end every operation in exactly the state a run under an
-//! observing hook (every instruction stepped) reaches — same virtual
-//! time, retired steps, fault log, job words and thread states.
+//! driven under `NullHook` (which has an epoch, so whole idle-loop
+//! periods are skipped) must end every operation in exactly the state a
+//! run under an observing hook (every instruction stepped) reaches —
+//! same virtual time, retired steps, fault log, job words and thread
+//! states.
 
 use cr_isa::{Asm, Mem as M, Reg::*};
 use cr_os::windows::{FaultEvent, WinProc};
@@ -18,7 +19,7 @@ const WAKE_SLOT: u64 = SLEEPER + 0x800;
 const MAPPED: u64 = 0x9300_0000_0000;
 const UNMAPPED: u64 = 0x9400_0000_0000;
 
-/// Counts data reads; not inert, so the scheduler steps everything.
+/// Counts data reads; has no epoch, so the scheduler steps everything.
 #[derive(Default)]
 struct Observing(u64);
 
