@@ -181,9 +181,7 @@ impl SyscallFilter {
     ///
     /// Panics when the module is unknown.
     pub fn for_module(name: &str) -> SyscallFilter {
-        let image = cr_targets::all_servers()
-            .into_iter()
-            .find(|t| t.name == name)
+        let image = cr_targets::server(name)
             .map(|t| t.image)
             .or_else(|| cr_targets::corpus::module(name).map(|m| m.image))
             .unwrap_or_else(|| panic!("unknown filter module {name:?}"));

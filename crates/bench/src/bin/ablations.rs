@@ -22,10 +22,7 @@ fn main() {
 
     // ---- 1. invalidation phase --------------------------------------------
     println!("\n[1] active pointer invalidation (nginx):");
-    let target = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == "nginx")
-        .unwrap();
+    let target = cr_targets::server("nginx").unwrap();
     let report = discover_server(&target);
     let candidates = report.findings.len();
     let usable = report

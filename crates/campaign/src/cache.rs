@@ -1,6 +1,6 @@
 //! The content-addressed analysis cache.
 //!
-//! Four tables, all keyed by stable content identifiers
+//! Five tables, all keyed by stable content identifiers
 //! ([`cr_core::stable_hash`] or a deterministic config descriptor):
 //!
 //! * **filter verdicts** — keyed by `machine:sha256(filter code bytes)`
@@ -16,13 +16,30 @@
 //! * **arena summaries** — [`cr_arena::ArenaSummary`] rows keyed by the
 //!   strategy's full config descriptor (strategy, seed, rounds, filter
 //!   module); a warm rerun skips every probe simulation of that
-//!   strategy's rounds.
+//!   strategy's rounds;
+//! * **task results** — whole [`TaskResult`] rows of the three other
+//!   emulating task kinds, so a warm rerun runs no emulation at all:
+//!   * server discovery under
+//!     `server:{name}:{elf_content_hash}:p{port}:b{boot_steps}:{regions}`
+//!     ([`cr_scan::elf_content_hash`] of the server image, then its
+//!     listen port, boot step budget and attacker-reachable regions as
+//!     comma-separated `base+size` in hex);
+//!   * PoC oracle scans under `poc:{oracle}:{secret}:{len}:{start}:{end}:{stride}`
+//!     (the scenario tuple in hex);
+//!   * API funnels under `funnel:{corpus_size}:s{seed}`, the seed being
+//!     the attempt's, so a retry at a derived seed never reads a row
+//!     made at another.
+//!
+//!   Like the arena key, the PoC and funnel keys describe config, not
+//!   guest code: they stay valid only while the oracle and corpus
+//!   builders are deterministic functions of that config.
 //!
 //! With `--cache DIR` the cache persists as one JSONL file
-//! (`analysis-cache.jsonl`, one entry per line, sorted by key so the
-//! file is byte-stable), loaded before the campaign and rewritten
-//! after. Without a directory the cache lives in memory only — still
-//! useful, since campaigns repeat filter bodies across modules.
+//! (`analysis-cache.jsonl`, one entry per line, table by table in the
+//! order above and sorted by key within a table, so the file is
+//! byte-stable), loaded before the campaign and rewritten after.
+//! Without a directory the cache lives in memory only — still useful,
+//! since campaigns repeat filter bodies across modules.
 //!
 //! ## Corruption handling
 //!
@@ -38,6 +55,7 @@
 //! renamed into place, so a campaign killed mid-save leaves either the
 //! old cache or the new one, never a torn hybrid.
 
+use crate::engine::TaskResult;
 use crate::json::Json;
 use cr_arena::{ArenaPair, ArenaSummary};
 use cr_core::seh::VerdictCache;
@@ -137,6 +155,8 @@ pub struct CacheStats {
     scan_misses: AtomicU64,
     arena_hits: AtomicU64,
     arena_misses: AtomicU64,
+    result_hits: AtomicU64,
+    result_misses: AtomicU64,
     image_hits: AtomicU64,
     image_misses: AtomicU64,
 }
@@ -160,6 +180,10 @@ pub struct CacheStatsSnapshot {
     pub arena_hits: u64,
     /// Arena-summary lookups that fell through to a fresh matrix run.
     pub arena_misses: u64,
+    /// Server/PoC/funnel result lookups served from the cache.
+    pub result_hits: u64,
+    /// Server/PoC/funnel result lookups that fell through to emulation.
+    pub result_misses: u64,
     /// Parsed-image lookups served from the resident artifact table.
     pub image_hits: u64,
     /// Parsed-image lookups that fell through to generate + parse.
@@ -167,20 +191,46 @@ pub struct CacheStatsSnapshot {
 }
 
 impl CacheStatsSnapshot {
-    /// Hit fraction over the persistent content-addressed layers
-    /// (filter verdicts + module summaries + scan summaries + arena
-    /// summaries); 0.0 when nothing was looked up. Image traffic is
-    /// excluded: the resident artifact table lives in process memory
-    /// only, so a fresh process always misses it regardless of how warm
-    /// the on-disk cache is.
+    /// Hit fraction over the five persistent tables (filter verdicts,
+    /// module summaries, scan summaries, arena summaries and
+    /// server/PoC/funnel results); 0.0 when nothing was looked up.
+    /// Image traffic is excluded: the resident artifact table lives in
+    /// process memory only, so a fresh process always misses it
+    /// regardless of how warm the on-disk cache is.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.filter_hits + self.module_hits + self.scan_hits + self.arena_hits;
-        let total =
-            hits + self.filter_misses + self.module_misses + self.scan_misses + self.arena_misses;
+        let hits = self.filter_hits
+            + self.module_hits
+            + self.scan_hits
+            + self.arena_hits
+            + self.result_hits;
+        let total = hits
+            + self.filter_misses
+            + self.module_misses
+            + self.scan_misses
+            + self.arena_misses
+            + self.result_misses;
         if total == 0 {
             0.0
         } else {
             hits as f64 / total as f64
+        }
+    }
+
+    /// The lookups counted since `before`, a snapshot of the same cache.
+    pub(crate) fn since(&self, before: &CacheStatsSnapshot) -> CacheStatsSnapshot {
+        CacheStatsSnapshot {
+            filter_hits: self.filter_hits - before.filter_hits,
+            filter_misses: self.filter_misses - before.filter_misses,
+            module_hits: self.module_hits - before.module_hits,
+            module_misses: self.module_misses - before.module_misses,
+            scan_hits: self.scan_hits - before.scan_hits,
+            scan_misses: self.scan_misses - before.scan_misses,
+            arena_hits: self.arena_hits - before.arena_hits,
+            arena_misses: self.arena_misses - before.arena_misses,
+            result_hits: self.result_hits - before.result_hits,
+            result_misses: self.result_misses - before.result_misses,
+            image_hits: self.image_hits - before.image_hits,
+            image_misses: self.image_misses - before.image_misses,
         }
     }
 }
@@ -191,6 +241,7 @@ struct Tables {
     modules: HashMap<String, SehSummary>,
     scans: HashMap<String, ScanSummary>,
     arenas: HashMap<String, ArenaSummary>,
+    results: HashMap<String, TaskResult>,
 }
 
 /// The campaign-wide analysis cache. Cheap interior locking: entries
@@ -337,6 +388,7 @@ impl AnalysisCache {
         let modules: BTreeMap<_, _> = tables.modules.iter().collect();
         let scans: BTreeMap<_, _> = tables.scans.iter().collect();
         let arenas: BTreeMap<_, _> = tables.arenas.iter().collect();
+        let results: BTreeMap<_, _> = tables.results.iter().collect();
         let mut out = String::new();
         let mut index = 0usize;
         let mut push = |record: String, out: &mut String| {
@@ -382,6 +434,19 @@ impl AnalysisCache {
                     "{{\"kind\":\"arena\",\"key\":{},\"summary\":{}}}",
                     serde::Serialize::to_json(key),
                     serde::Serialize::to_json(summary)
+                ),
+                &mut out,
+            );
+        }
+        // Results come last, so the save-order index of every record
+        // of the older tables (the `cache.record` fault key) is the same
+        // as before the table existed.
+        for (key, result) in results {
+            push(
+                format!(
+                    "{{\"kind\":\"result\",\"key\":{},\"result\":{}}}",
+                    serde::Serialize::to_json(key),
+                    serde::Serialize::to_json(result)
                 ),
                 &mut out,
             );
@@ -454,6 +519,22 @@ impl AnalysisCache {
             .insert(key.to_string(), summary.clone());
     }
 
+    /// Look up a server, PoC or funnel result by its descriptor key.
+    pub fn get_result(&self, key: &str) -> Option<TaskResult> {
+        let hit = self.tables.lock().unwrap().results.get(key).cloned();
+        self.stats.count_result(hit.is_some());
+        hit
+    }
+
+    /// Store a server, PoC or funnel result.
+    pub fn put_result(&self, key: &str, result: &TaskResult) {
+        self.tables
+            .lock()
+            .unwrap()
+            .results
+            .insert(key.to_string(), result.clone());
+    }
+
     /// Look up a resident parsed image by module name.
     pub fn get_image(&self, module: &str) -> Option<std::sync::Arc<ImageArtifact>> {
         let hit = self.images.lock().unwrap().get(module).cloned();
@@ -496,9 +577,17 @@ impl AnalysisCache {
         self.tables.lock().unwrap().arenas.len()
     }
 
+    /// Number of cached server/PoC/funnel results.
+    pub fn result_len(&self) -> usize {
+        self.tables.lock().unwrap().results.len()
+    }
+
     /// Whether all tables are empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0) && self.scan_len() == 0 && self.arena_len() == 0
+        self.len() == (0, 0)
+            && self.scan_len() == 0
+            && self.arena_len() == 0
+            && self.result_len() == 0
     }
 
     /// Current hit/miss counters.
@@ -512,6 +601,8 @@ impl AnalysisCache {
             scan_misses: self.stats.scan_misses.load(Ordering::Relaxed),
             arena_hits: self.stats.arena_hits.load(Ordering::Relaxed),
             arena_misses: self.stats.arena_misses.load(Ordering::Relaxed),
+            result_hits: self.stats.result_hits.load(Ordering::Relaxed),
+            result_misses: self.stats.result_misses.load(Ordering::Relaxed),
             image_hits: self.stats.image_hits.load(Ordering::Relaxed),
             image_misses: self.stats.image_misses.load(Ordering::Relaxed),
         }
@@ -520,45 +611,27 @@ impl AnalysisCache {
 
 impl CacheStats {
     fn count_filter(&self, hit: bool) {
-        let c = if hit {
-            &self.filter_hits
-        } else {
-            &self.filter_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        count(hit, &self.filter_hits, &self.filter_misses);
     }
     fn count_module(&self, hit: bool) {
-        let c = if hit {
-            &self.module_hits
-        } else {
-            &self.module_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        count(hit, &self.module_hits, &self.module_misses);
     }
     fn count_scan(&self, hit: bool) {
-        let c = if hit {
-            &self.scan_hits
-        } else {
-            &self.scan_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        count(hit, &self.scan_hits, &self.scan_misses);
     }
     fn count_arena(&self, hit: bool) {
-        let c = if hit {
-            &self.arena_hits
-        } else {
-            &self.arena_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        count(hit, &self.arena_hits, &self.arena_misses);
+    }
+    fn count_result(&self, hit: bool) {
+        count(hit, &self.result_hits, &self.result_misses);
     }
     fn count_image(&self, hit: bool) {
-        let c = if hit {
-            &self.image_hits
-        } else {
-            &self.image_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        count(hit, &self.image_hits, &self.image_misses);
     }
+}
+
+fn count(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
+    if hit { hits } else { misses }.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Adapter giving [`cr_core::seh::analyze_module_cached`] a view of a
@@ -639,6 +712,11 @@ fn parse_entry(line: &str, tables: &mut Tables) -> Result<(), String> {
         Some("arena") => {
             let summary = parse_arena(v.get("summary").ok_or("arena entry without summary")?)?;
             tables.arenas.insert(key, summary);
+            Ok(())
+        }
+        Some("result") => {
+            let result = parse_result(v.get("result").ok_or("result entry without result")?)?;
+            tables.results.insert(key, result);
             Ok(())
         }
         other => Err(format!("unknown entry kind {other:?}")),
@@ -750,6 +828,53 @@ fn parse_arena(v: &Json) -> Result<ArenaSummary, String> {
     })
 }
 
+/// A persisted [`TaskResult`]: externally tagged, one of the three
+/// kinds the result table holds.
+fn parse_result(v: &Json) -> Result<TaskResult, String> {
+    let [(tag, body)] = v.as_obj().ok_or("result must be an object")? else {
+        return Err("result must have exactly one variant key".into());
+    };
+    let num = |name: &str| {
+        body.get(name)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{tag} result missing numeric {name:?}"))
+    };
+    let flag = |name: &str| {
+        body.get(name)
+            .and_then(Json::as_bool)
+            .ok_or_else(|| format!("{tag} result missing boolean {name:?}"))
+    };
+    let text = |name: &str| {
+        body.get(name)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("{tag} result missing string {name:?}"))
+    };
+    match tag.as_str() {
+        "Server" => Ok(TaskResult::Server {
+            server: text("server")?,
+            observed_syscalls: num("observed_syscalls")? as usize,
+            findings: num("findings")? as usize,
+            usable: num("usable")? as usize,
+        }),
+        "Funnel" => Ok(TaskResult::Funnel {
+            total: num("total")? as usize,
+            with_pointer_args: num("with_pointer_args")? as usize,
+            crash_resistant: num("crash_resistant")? as usize,
+            js_reachable: num("js_reachable")? as usize,
+            usable: num("usable")? as usize,
+        }),
+        "Poc" => Ok(TaskResult::Poc {
+            oracle: text("oracle")?,
+            mapped: num("mapped")? as usize,
+            probes: num("probes")?,
+            located: flag("located")?,
+            crashed: flag("crashed")?,
+        }),
+        other => Err(format!("result kind {other:?} is not cached")),
+    }
+}
+
 /// `FilterVerdict::Unknown` carries a `&'static str`; reloaded reasons
 /// are interned in a process-global pool so repeated cache loads don't
 /// leak a new allocation per load.
@@ -825,6 +950,35 @@ mod tests {
                 }],
             },
         );
+        cache.put_result(
+            "server:nginx:fc9a:p8080:b2000000:600000+20000",
+            &TaskResult::Server {
+                server: "nginx".into(),
+                observed_syscalls: 18,
+                findings: 12,
+                usable: 1,
+            },
+        );
+        cache.put_result(
+            "poc:nginx:5500002000:1000:5500000000:5500010000:1000",
+            &TaskResult::Poc {
+                oracle: "nginx19-recv".into(),
+                mapped: 1,
+                probes: 16,
+                located: true,
+                crashed: false,
+            },
+        );
+        cache.put_result(
+            "funnel:200:s2017",
+            &TaskResult::Funnel {
+                total: 213,
+                with_pointer_args: 120,
+                crash_resistant: 9,
+                js_reachable: 4,
+                usable: 1,
+            },
+        );
     }
 
     #[test]
@@ -867,6 +1021,34 @@ mod tests {
         assert_eq!(arena.pairs.len(), 1);
         assert_eq!(arena.pairs[0].detector, "cusum");
         assert_eq!(arena.pairs[0].time_to_detect_ms, 700);
+        assert_eq!(back.result_len(), 3);
+        assert_eq!(
+            back.get_result("funnel:200:s2017"),
+            Some(TaskResult::Funnel {
+                total: 213,
+                with_pointer_args: 120,
+                crash_resistant: 9,
+                js_reachable: 4,
+                usable: 1,
+            })
+        );
+        assert!(matches!(
+            back.get_result("poc:nginx:5500002000:1000:5500000000:5500010000:1000"),
+            Some(TaskResult::Poc {
+                located: true,
+                crashed: false,
+                probes: 16,
+                ..
+            })
+        ));
+        assert!(matches!(
+            back.get_result("server:nginx:fc9a:p8080:b2000000:600000+20000"),
+            Some(TaskResult::Server {
+                usable: 1,
+                findings: 12,
+                ..
+            })
+        ));
 
         // Saving the reloaded cache reproduces the file byte for byte.
         let bytes1 = std::fs::read(dir.join(CACHE_FILE)).unwrap();
@@ -874,6 +1056,41 @@ mod tests {
         let bytes2 = std::fs::read(dir.join(CACHE_FILE)).unwrap();
         assert_eq!(bytes1, bytes2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Result rows are appended after every older table, so adding
+    /// them never shifts the save-order index (the `cache.record`
+    /// fault key) of a filter, module, scan or arena record.
+    #[test]
+    fn result_rows_render_after_every_older_table() {
+        let cache = AnalysisCache::new();
+        sample_tables(&cache);
+        let text = cache.export_jsonl();
+        let kinds: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                let json = unframe(l).unwrap();
+                let at = json.find("\"kind\":\"").unwrap() + 8;
+                &json[at..at + json[at..].find('"').unwrap()]
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "filter", "filter", "filter", "module", "scan", "arena", "result", "result",
+                "result"
+            ]
+        );
+    }
+
+    #[test]
+    fn unknown_result_kinds_are_rejected() {
+        let cache = AnalysisCache::new();
+        let scan = r#"{"kind":"result","key":"k","result":{"Scan":{"image_hash":"h"}}}"#;
+        assert_eq!(cache.merge_jsonl(&frame(scan)), (0, 1));
+        let torn = r#"{"kind":"result","key":"k","result":{"Poc":{"oracle":"ie"}}}"#;
+        assert_eq!(cache.merge_jsonl(&frame(torn)), (0, 1));
+        assert_eq!(cache.result_len(), 0);
     }
 
     #[test]
@@ -972,7 +1189,7 @@ mod tests {
         let dir = scratch("mutate");
         let cache = AnalysisCache::new();
         sample_tables(&cache);
-        // Corrupt record 1 and tear record 2 of the 6 sorted records.
+        // Corrupt record 1 and tear record 2 of the 9 sorted records.
         cache
             .save_with(&dir, |i, line| match i {
                 1 => *line = line.replace('"', "#"),
@@ -996,14 +1213,19 @@ mod tests {
 
         let sink = AnalysisCache::new();
         let (merged, rejected) = sink.merge_jsonl(&jsonl);
-        assert_eq!((merged, rejected), (6, 0));
+        assert_eq!((merged, rejected), (9, 0));
         assert_eq!(sink.len(), source.len());
         assert_eq!(sink.scan_len(), source.scan_len());
         assert_eq!(sink.arena_len(), source.arena_len());
+        assert_eq!(sink.result_len(), 3);
+        assert_eq!(
+            sink.get_result("funnel:200:s2017"),
+            source.get_result("funnel:200:s2017")
+        );
         // Replication is idempotent: entries are content-addressed, so
         // a re-merge replaces equal values with equal values.
         let (merged2, rejected2) = sink.merge_jsonl(&jsonl);
-        assert_eq!((merged2, rejected2), (6, 0));
+        assert_eq!((merged2, rejected2), (9, 0));
         assert_eq!(sink.export_jsonl(), jsonl, "export round-trips");
         // Malformed input is rejected per line, never fatal.
         let (m, r) = sink.merge_jsonl("garbage line\n\n");
@@ -1031,11 +1253,14 @@ mod tests {
         assert!(cache.get_scan("00000000").is_none());
         assert!(cache.get_arena("stealth:s2017:r3:vsftpd").is_some());
         assert!(cache.get_arena("linear:s0:r0:none").is_none());
+        assert!(cache.get_result("funnel:200:s2017").is_some());
+        assert!(cache.get_result("funnel:200:s2018").is_none());
         let s = cache.stats();
         assert_eq!((s.filter_hits, s.filter_misses), (1, 1));
         assert_eq!((s.module_hits, s.module_misses), (1, 1));
         assert_eq!((s.scan_hits, s.scan_misses), (1, 1));
         assert_eq!((s.arena_hits, s.arena_misses), (1, 1));
+        assert_eq!((s.result_hits, s.result_misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
     }
 

@@ -8,7 +8,9 @@
 //! fan out over the [`crate::pool`] and share one
 //! [`AnalysisCache`]; results are re-ordered by spec index, so the
 //! deterministic half of the report is identical no matter how many
-//! workers ran it.
+//! workers ran it. Every task kind reads its row from the cache first,
+//! so a warm rerun on a persisted cache runs no emulation and no
+//! solver.
 //!
 //! ## Fault injection
 //!
@@ -304,7 +306,6 @@ pub fn run_campaign_with_cache(
     }
     errors.add(TaskErrorKind::CacheCorrupt, quarantined);
     let degraded = records.iter().any(|r| r.result.is_none());
-    let cache_now = cache.stats();
     let metrics = CampaignMetrics::from_executions(
         cfg.jobs.max(1),
         total_wall_us,
@@ -319,18 +320,7 @@ pub fn run_campaign_with_cache(
             }
         },
         quarantined,
-        crate::cache::CacheStatsSnapshot {
-            filter_hits: cache_now.filter_hits - cache_before.filter_hits,
-            filter_misses: cache_now.filter_misses - cache_before.filter_misses,
-            module_hits: cache_now.module_hits - cache_before.module_hits,
-            module_misses: cache_now.module_misses - cache_before.module_misses,
-            scan_hits: cache_now.scan_hits - cache_before.scan_hits,
-            scan_misses: cache_now.scan_misses - cache_before.scan_misses,
-            arena_hits: cache_now.arena_hits - cache_before.arena_hits,
-            arena_misses: cache_now.arena_misses - cache_before.arena_misses,
-            image_hits: cache_now.image_hits - cache_before.image_hits,
-            image_misses: cache_now.image_misses - cache_before.image_misses,
-        },
+        cache.stats().since(&cache_before),
         &labels,
         &execs,
     );
@@ -423,27 +413,61 @@ fn execute_task(
         }
     }
     match task {
-        CampaignTask::ServerDiscovery(name) => Ok(run_server(name)),
+        CampaignTask::ServerDiscovery(name) => Ok(run_server(name, task, cache)),
         CampaignTask::SehAnalysis(name) => run_seh(name, cache, inj, ctx),
-        CampaignTask::ApiFunnel { corpus_size } => Ok(run_funnel(*corpus_size, ctx.seed)),
-        CampaignTask::PocScan(name) => Ok(run_poc(name)),
+        CampaignTask::ApiFunnel { corpus_size } => {
+            Ok(run_funnel(*corpus_size, ctx.seed, task, cache))
+        }
+        CampaignTask::PocScan(name) => Ok(run_poc(name, task, cache)),
         CampaignTask::StaticScan(name) => Ok(run_scan(name, cache)),
         CampaignTask::Arena(name) => Ok(run_arena(name, cache, ctx.seed, inj)),
     }
 }
 
-fn run_server(name: &str) -> TaskResult {
-    let target = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
-        .unwrap_or_else(|| panic!("unknown server {name:?}"));
-    let report = cr_core::discover_server(&target);
-    TaskResult::Server {
-        server: report.server.clone(),
-        observed_syscalls: report.observed_syscalls.len(),
-        findings: report.findings.len(),
-        usable: report.usable().len(),
+/// Answer a server, PoC or funnel task from the result table under
+/// `key`, or emulate it with `run` and store the row. A `run` that
+/// panics stores nothing, so a failed attempt never poisons the table.
+fn cached_result(
+    cache: &AnalysisCache,
+    key: &str,
+    task: &CampaignTask,
+    run: impl FnOnce() -> TaskResult,
+) -> TaskResult {
+    if let Some(result) = cache.get_result(key) {
+        // A warm hit runs no emulation; still stamp the cache stage so
+        // the trace shows where the row came from.
+        let mut span = cr_trace::span(cr_trace::Stage::Cache, "result.cached");
+        span.set_detail(|| task.label());
+        return result;
     }
+    let result = run();
+    cache.put_result(key, &result);
+    result
+}
+
+fn run_server(name: &str, task: &CampaignTask, cache: &AnalysisCache) -> TaskResult {
+    let target = cr_targets::server(name).unwrap_or_else(|| panic!("unknown server {name:?}"));
+    let regions: Vec<String> = target
+        .attacker_regions
+        .iter()
+        .map(|(base, size)| format!("{base:x}+{size:x}"))
+        .collect();
+    let key = format!(
+        "server:{name}:{}:p{}:b{}:{}",
+        cr_scan::elf_content_hash(&target.image),
+        target.port,
+        target.boot_steps,
+        regions.join(",")
+    );
+    cached_result(cache, &key, task, || {
+        let report = cr_core::discover_server(&target);
+        TaskResult::Server {
+            server: report.server.clone(),
+            observed_syscalls: report.observed_syscalls.len(),
+            findings: report.findings.len(),
+            usable: report.usable().len(),
+        }
+    })
 }
 
 fn run_seh(
@@ -547,9 +571,7 @@ fn run_seh(
 }
 
 fn run_scan(name: &str, cache: &AnalysisCache) -> TaskResult {
-    let image = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
+    let image = cr_targets::server(name)
         .map(|t| t.image)
         .or_else(|| cr_targets::corpus::module(name).map(|m| m.image))
         .unwrap_or_else(|| panic!("unknown scan module {name:?}"));
@@ -630,16 +652,24 @@ fn run_arena(
     TaskResult::Arena { key, summary }
 }
 
-fn run_funnel(corpus_size: usize, seed: u64) -> TaskResult {
-    let mut sim = cr_targets::browsers::ie::build_with_corpus(corpus_size, seed);
-    let report = cr_core::api_fuzzer::run_funnel(&mut sim, 2);
-    TaskResult::Funnel {
-        total: report.total,
-        with_pointer_args: report.with_pointer_args,
-        crash_resistant: report.crash_resistant,
-        js_reachable: report.js_reachable,
-        usable: report.usable,
-    }
+fn run_funnel(
+    corpus_size: usize,
+    seed: u64,
+    task: &CampaignTask,
+    cache: &AnalysisCache,
+) -> TaskResult {
+    let key = format!("funnel:{corpus_size}:s{seed}");
+    cached_result(cache, &key, task, || {
+        let mut sim = cr_targets::browsers::ie::build_with_corpus(corpus_size, seed);
+        let report = cr_core::api_fuzzer::run_funnel(&mut sim, 2);
+        TaskResult::Funnel {
+            total: report.total,
+            with_pointer_args: report.with_pointer_args,
+            crash_resistant: report.crash_resistant,
+            js_reachable: report.js_reachable,
+            usable: report.usable,
+        }
+    })
 }
 
 /// Per-oracle §VI scenario: secret region (address, length) and the
@@ -672,34 +702,37 @@ fn poc_scenario(oracle: &str) -> (u64, u64, u64, u64, u64) {
     }
 }
 
-fn run_poc(name: &str) -> TaskResult {
+fn run_poc(name: &str, task: &CampaignTask, cache: &AnalysisCache) -> TaskResult {
     let (secret, len, start, end, stride) = poc_scenario(name);
-    // The defense hides a SafeStack-style region at the secret address;
-    // the oracle must locate it with zero crashes.
-    let mut oracle: Box<dyn cr_exploits::MemoryOracle> = match name {
-        "ie" => {
-            let mut o = cr_exploits::ie::IeOracle::new();
-            o.sim().proc.mem.map(secret, len, cr_vm::Prot::RW);
-            Box::new(o)
+    let key = format!("poc:{name}:{secret:x}:{len:x}:{start:x}:{end:x}:{stride:x}");
+    cached_result(cache, &key, task, || {
+        // The defense hides a SafeStack-style region at the secret
+        // address; the oracle must locate it with zero crashes.
+        let mut oracle: Box<dyn cr_exploits::MemoryOracle> = match name {
+            "ie" => {
+                let mut o = cr_exploits::ie::IeOracle::new();
+                o.sim().proc.mem.map(secret, len, cr_vm::Prot::RW);
+                Box::new(o)
+            }
+            "firefox" => {
+                let mut o = cr_exploits::firefox::FirefoxOracle::new();
+                o.sim().proc.mem.map(secret, len, cr_vm::Prot::RW);
+                Box::new(o)
+            }
+            "nginx" => {
+                let mut o = cr_exploits::nginx::NginxOracle::new();
+                o.proc().mem.map(secret, len, cr_vm::Prot::RW);
+                Box::new(o)
+            }
+            other => panic!("unknown oracle {other:?}"),
+        };
+        let out = cr_exploits::scan(oracle.as_mut(), start, end, stride);
+        TaskResult::Poc {
+            oracle: oracle.name().to_string(),
+            mapped: out.mapped.len(),
+            probes: out.probes,
+            located: out.mapped.contains(&secret),
+            crashed: out.crashed,
         }
-        "firefox" => {
-            let mut o = cr_exploits::firefox::FirefoxOracle::new();
-            o.sim().proc.mem.map(secret, len, cr_vm::Prot::RW);
-            Box::new(o)
-        }
-        "nginx" => {
-            let mut o = cr_exploits::nginx::NginxOracle::new();
-            o.proc().mem.map(secret, len, cr_vm::Prot::RW);
-            Box::new(o)
-        }
-        other => panic!("unknown oracle {other:?}"),
-    };
-    let out = cr_exploits::scan(oracle.as_mut(), start, end, stride);
-    TaskResult::Poc {
-        oracle: oracle.name().to_string(),
-        mapped: out.mapped.len(),
-        probes: out.probes,
-        located: out.mapped.contains(&secret),
-        crashed: out.crashed,
-    }
+    })
 }

@@ -135,7 +135,7 @@ impl CampaignSpec {
     /// the standard funnel, every PoC oracle.
     pub fn builtin(seed: u64) -> CampaignSpec {
         let mut b = CampaignSpec::builder().name("builtin-full").seed(seed);
-        for s in ["nginx", "cherokee", "lighttpd", "memcached", "postgresql"] {
+        for s in cr_targets::servers::NAMES {
             b = b.server(s);
         }
         for c in cr_targets::browsers::CALIBRATION {
@@ -145,7 +145,7 @@ impl CampaignSpec {
         for o in ["ie", "firefox", "nginx"] {
             b = b.poc(o);
         }
-        for s in ["nginx", "cherokee", "lighttpd", "memcached", "postgresql"] {
+        for s in cr_targets::servers::NAMES {
             b = b.scan(s);
         }
         for m in cr_targets::corpus::modules() {

@@ -214,7 +214,7 @@ fn cmd_list(args: &[String]) -> i32 {
             return EXIT_USAGE;
         }
     };
-    let servers: Vec<&str> = cr_targets::all_servers().iter().map(|t| t.name).collect();
+    let servers = cr_targets::servers::NAMES;
     let dlls: Vec<&str> = cr_targets::browsers::CALIBRATION
         .iter()
         .map(|c| c.name)
@@ -252,10 +252,7 @@ fn cmd_discover(name: Option<&str>) -> i32 {
         eprintln!("usage: crash-resist discover <server>");
         return EXIT_USAGE;
     };
-    let Some(target) = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
-    else {
+    let Some(target) = cr_targets::server(name) else {
         eprintln!("unknown server {name:?} (try `crash-resist list`)");
         return EXIT_UNKNOWN_TARGET;
     };
@@ -518,10 +515,7 @@ fn cmd_cfg(name: Option<&str>) -> i32 {
         eprintln!("usage: crash-resist cfg <server>");
         return EXIT_USAGE;
     };
-    let Some(target) = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
-    else {
+    let Some(target) = cr_targets::server(name) else {
         eprintln!("unknown server {name:?} (try `crash-resist list`)");
         return EXIT_UNKNOWN_TARGET;
     };
@@ -938,11 +932,13 @@ fn cmd_campaign(args: &[String]) -> i32 {
             m.jobs
         );
         println!(
-            "cache: {}/{} filter hits, {}/{} module hits ({:.0}% overall)",
+            "cache: {}/{} filter hits, {}/{} module hits, {}/{} result hits ({:.0}% overall)",
             m.cache.filter_hits,
             m.cache.filter_hits + m.cache.filter_misses,
             m.cache.module_hits,
             m.cache.module_hits + m.cache.module_misses,
+            m.cache.result_hits,
+            m.cache.result_hits + m.cache.result_misses,
             m.cache.hit_rate() * 100.0
         );
     }

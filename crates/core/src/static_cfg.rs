@@ -280,10 +280,7 @@ mod tests {
     fn static_sites_cover_dynamic_candidates_on_nginx() {
         // Every syscall the dynamic monitor can ever observe must be a
         // statically enumerable site.
-        let t = cr_targets::all_servers()
-            .into_iter()
-            .find(|s| s.name == "nginx")
-            .unwrap();
+        let t = cr_targets::server("nginx").unwrap();
         let seg = &t.image.segments[0];
         let src = (seg.vaddr, seg.data.as_slice());
         let cfg = analyze(&src, &[t.image.entry]);

@@ -357,8 +357,7 @@ impl OsHook for CorruptMonitor {}
 /// # Examples
 ///
 /// ```no_run
-/// let target = cr_targets::all_servers().into_iter()
-///     .find(|t| t.name == "nginx").unwrap();
+/// let target = cr_targets::server("nginx").unwrap();
 /// let report = cr_core::discover_server(&target);
 /// for finding in report.usable() {
 ///     println!("usable primitive: {}", finding.syscall_name);
@@ -450,10 +449,7 @@ mod tests {
     use cr_os::linux::syscall::nr;
 
     fn report_for(name: &str) -> ServerReport {
-        let t = cr_targets::all_servers()
-            .into_iter()
-            .find(|t| t.name == name)
-            .expect("known server");
+        let t = cr_targets::server(name).expect("known server");
         discover_server(&t)
     }
 

@@ -17,7 +17,7 @@ pub mod browsers;
 pub mod corpus;
 pub mod servers;
 
-pub use servers::{all as all_servers, ServerTarget};
+pub use servers::{all as all_servers, by_name as server, ServerTarget};
 
 /// Symbol names marking a serving/accept loop across the calibrated
 /// corpus. The five Table-I servers label their request loops with one

@@ -251,12 +251,20 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err("raw control char in string".into()),
                 Some(_) => {
-                    // Copy one UTF-8 scalar verbatim.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte verbatim. Validating only the run keeps
+                    // a string linear in its length; all three stop bytes
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -337,6 +345,16 @@ mod tests {
         let arr = v.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].get("b").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn copies_multibyte_runs_between_escapes() {
+        assert_eq!(
+            Json::parse(r#""añ😀b\"ü\n""#).unwrap(),
+            Json::Str("añ😀b\"ü\n".into())
+        );
+        assert!(Json::parse("\"ab\ncd\"").is_err(), "raw control byte");
+        assert!(Json::parse("\"añ").is_err(), "unterminated after a run");
     }
 
     #[test]

@@ -15,10 +15,7 @@ fn main() {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "nginx".to_string());
-    let Some(target) = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
-    else {
+    let Some(target) = cr_targets::server(&name) else {
         eprintln!(
             "unknown server {name:?}; available: nginx cherokee lighttpd memcached postgresql"
         );

@@ -87,6 +87,30 @@ if ! diff -u scripts/golden/discover_smoke.txt "$smoke_tmp/discover.txt"; then
   exit 1
 fi
 
+# campaign-warm: the builtin campaign cold, then again on the cache the
+# cold run persisted. The warm run must reproduce the deterministic
+# `results` half byte for byte and read every row from the cache: no
+# server, PoC or funnel emulation (result table), no SEH analysis, no
+# static scan, no arena run.
+echo "[check] campaign-warm (builtin spec twice on one --cache dir)"
+target/release/crash-resist campaign --jobs 2 --cache "$smoke_tmp/warm-cache" --json \
+  2>/dev/null > "$smoke_tmp/campaign_cold.json"
+target/release/crash-resist campaign --jobs 2 --cache "$smoke_tmp/warm-cache" --json \
+  2>/dev/null > "$smoke_tmp/campaign_warm.json"
+for run in cold warm; do
+  sed 's/,"metrics":.*//' "$smoke_tmp/campaign_$run.json" > "$smoke_tmp/results_$run.json"
+done
+if ! diff -q "$smoke_tmp/results_cold.json" "$smoke_tmp/results_warm.json" > /dev/null; then
+  echo "[check] warm campaign results diverged from the cold run" >&2
+  exit 1
+fi
+sed 's/.*,"metrics"://' "$smoke_tmp/campaign_warm.json" > "$smoke_tmp/metrics_warm.json"
+for counter in result_misses module_misses scan_misses arena_misses; do
+  grep -q "\"$counter\":0," "$smoke_tmp/metrics_warm.json" \
+    || { cat "$smoke_tmp/metrics_warm.json" >&2
+    echo "[check] warm campaign missed the cache ($counter is not 0)" >&2; exit 1; }
+done
+
 # solver-bench smoke: a small corpus through the decision-procedure
 # bench. Only the non-timing invariants gate: the interned and
 # reference pipelines must agree on every verdict, and the warm pass

@@ -3,9 +3,12 @@
 //! * a `--jobs 8` campaign produces **byte-identical** deterministic
 //!   results to a serial run of the same spec;
 //! * a warm rerun against a persisted cache is served almost entirely
-//!   from the cache and never invokes the SAT solver.
+//!   from the cache and never invokes the SAT solver;
+//! * a warm rerun of the builtin campaign runs no emulation: every
+//!   server, PoC and funnel row comes from the result table.
 
 use cr_campaign::prelude::*;
+use cr_campaign::{run_campaign_with_cache, AnalysisCache};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -164,4 +167,80 @@ fn failed_tasks_are_isolated_and_reported() {
         report.records[1].result.is_some(),
         "healthy task unaffected"
     );
+}
+
+#[test]
+fn warm_builtin_campaign_runs_no_emulation() {
+    let _guard = solo();
+    let dir = scratch("builtin-warm");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = CampaignSpec::builtin(2017);
+    let cfg = EngineConfig {
+        jobs: 2,
+        retries: 0,
+        cache_dir: Some(dir.clone()),
+        ..EngineConfig::default()
+    };
+
+    let cold = run_campaign(&spec, &cfg).expect("cold run");
+    assert!(!cold.degraded, "every builtin task succeeds");
+    let c = cold.metrics.cache;
+    assert_eq!(
+        (c.result_hits, c.result_misses),
+        (0, 9),
+        "5 servers, 3 oracles and the funnel emulate once"
+    );
+
+    let solver_before = cr_symex::solver_calls();
+    let warm = run_campaign(&spec, &cfg).expect("warm run");
+    assert_eq!(cr_symex::solver_calls() - solver_before, 0);
+    assert_eq!(warm.metrics.solver_calls, 0);
+    let w = warm.metrics.cache;
+    assert_eq!(
+        (w.result_hits, w.result_misses),
+        (9, 0),
+        "every server, PoC and funnel row comes from the cache"
+    );
+    assert_eq!(
+        (w.module_misses, w.scan_misses, w.arena_misses),
+        (0, 0, 0),
+        "and every SEH, scan and arena row"
+    );
+    assert_eq!(warm.results_json(), cold.results_json());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn funnel_rows_are_keyed_by_the_attempt_seed() {
+    let _guard = solo();
+    let funnel_at = |seed: u64| {
+        CampaignSpec::builder()
+            .name("funnel-seed")
+            .seed(seed)
+            .funnel(200)
+            .build()
+            .expect("funnel spec is valid")
+    };
+    let cfg = EngineConfig {
+        retries: 0,
+        ..EngineConfig::default()
+    };
+    let cache = AnalysisCache::new();
+
+    let a = run_campaign_with_cache(&funnel_at(2017), &cfg, &cache);
+    assert_eq!(a.metrics.cache.result_misses, 1);
+    let b = run_campaign_with_cache(&funnel_at(2018), &cfg, &cache);
+    assert_eq!(
+        (b.metrics.cache.result_hits, b.metrics.cache.result_misses),
+        (0, 1),
+        "a row made at seed 2017 is never served at seed 2018"
+    );
+    assert_eq!(cache.result_len(), 2);
+    let a2 = run_campaign_with_cache(&funnel_at(2017), &cfg, &cache);
+    assert_eq!(
+        (a2.metrics.cache.result_hits, a2.metrics.cache.result_misses),
+        (1, 0)
+    );
+    assert_eq!(a2.results_json(), a.results_json());
 }

@@ -5,7 +5,9 @@
 //!   on the warm rerun;
 //! * a save interrupted mid-write (simulated kill) leaves the previous
 //!   store intact and loadable — no torn hybrid;
-//! * a rerun over a damaged store completes with `degraded: false`.
+//! * a rerun over a damaged store completes with `degraded: false`;
+//! * a corrupt server/PoC/funnel result row is quarantined and
+//!   re-emulated like any other record.
 
 use cr_campaign::{
     run_campaign, AnalysisCache, CampaignSpec, EngineConfig, CACHE_FILE, QUARANTINE_FILE,
@@ -187,6 +189,52 @@ fn garbage_suffix_in_store_is_not_fatal_to_a_campaign() {
     assert_eq!(report.errors.cache_corrupt, 2);
     assert_eq!(report.metrics.quarantined, 2);
     assert!(report.records.iter().all(|r| r.result.is_some()));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_result_rows_are_quarantined_and_recomputed() {
+    let _guard = solo();
+    let dir = scratch("result-rows");
+    let spec = CampaignSpec::builder()
+        .name("result-rows")
+        .seed(2017)
+        .server("nginx")
+        .funnel(200)
+        .poc("nginx")
+        .build()
+        .expect("result spec is valid");
+    let cfg = cfg_for(&dir);
+
+    let cold = run_campaign(&spec, &cfg).expect("cold run");
+    assert_eq!(cold.metrics.cache.result_misses, 3);
+
+    // Damage the PoC row only: the warm rerun re-emulates that oracle
+    // and serves the server and funnel rows from the intact store.
+    let corrupted = corrupt_matching_lines(&dir, "\"key\":\"poc:nginx:");
+    assert_eq!(corrupted, 1, "one cached PoC row");
+
+    let warm = run_campaign(&spec, &cfg).expect("warm run over damaged store");
+    assert!(!warm.degraded);
+    assert_eq!(warm.errors.cache_corrupt, 1);
+    assert_eq!(warm.metrics.quarantined, 1);
+    let c = warm.metrics.cache;
+    assert_eq!((c.result_hits, c.result_misses), (2, 1));
+    assert_eq!(warm.results_json(), {
+        // The corrupt line is counted in the warm run's error tally;
+        // everything else matches the cold run byte for byte.
+        let mut expected = cold.clone();
+        expected.errors.cache_corrupt = 1;
+        expected.results_json()
+    });
+    let quarantine = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).expect("quarantine file");
+    assert!(quarantine.contains("\"kind\":\"result\""));
+
+    // The warm save rewrote the row; the next load is clean and whole.
+    let reload = AnalysisCache::load(&dir).expect("reload");
+    assert_eq!(reload.quarantined(), 0);
+    assert_eq!(reload.result_len(), 3);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,10 +10,7 @@ use cr_vm::NullHook;
 
 #[test]
 fn lighttpd_finding_is_directly_exploitable() {
-    let target = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == "lighttpd")
-        .unwrap();
+    let target = cr_targets::server("lighttpd").unwrap();
     let report = discover_server(&target);
     let read = report.finding(nr::READ).expect("read candidate");
     assert!(matches!(read.classification, Classification::Usable { .. }));
@@ -39,10 +36,7 @@ fn lighttpd_finding_is_directly_exploitable() {
 
 #[test]
 fn crashing_finding_really_crashes() {
-    let target = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == "lighttpd")
-        .unwrap();
+    let target = cr_targets::server("lighttpd").unwrap();
     let report = discover_server(&target);
     let open = report.finding(nr::OPEN).expect("open candidate");
     assert_eq!(open.classification, Classification::CrashesOnInvalidation);
@@ -77,14 +71,8 @@ fn all_five_servers_have_a_usable_primitive() {
 
 #[test]
 fn discovery_is_deterministic() {
-    let t1 = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == "memcached")
-        .unwrap();
-    let t2 = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == "memcached")
-        .unwrap();
+    let t1 = cr_targets::server("memcached").unwrap();
+    let t2 = cr_targets::server("memcached").unwrap();
     let r1 = discover_server(&t1);
     let r2 = discover_server(&t2);
     assert_eq!(r1.observed_syscalls, r2.observed_syscalls);

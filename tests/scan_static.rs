@@ -14,10 +14,7 @@
 use cr_scan::{cross_validate, scan_elf, Origin, Temporal};
 
 fn server(name: &str) -> cr_targets::ServerTarget {
-    cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
-        .expect("known server")
+    cr_targets::server(name).expect("known server")
 }
 
 #[test]
